@@ -18,7 +18,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro import SystemConfig, make_policy
+from repro import SystemConfig, Telemetry, make_policy
 from repro.cpu.trace_io import load_trace, record_trace, save_trace
 from repro.metrics.report import histogram
 from repro.metrics.stats import ReservoirSampler
@@ -47,24 +47,19 @@ def main() -> None:
     for policy_name in ("FCFS", "HF-RF"):
         trace = load_trace(path)
         cfg = SystemConfig(num_cores=1)
-        # Pin the object backend: this example instruments the controller
-        # by wrapping its `_commit` method, and the fast backend fuses the
-        # whole scheduling point into one frame that never calls it.
+        # Trace every request's lifecycle; a read's latency is its span's
+        # done - arrival (controller entry to data back at the core side).
+        telemetry = Telemetry(capture_spans=True, span_sample=1)
         system = MultiCoreSystem(
             cfg, make_policy(policy_name), [trace],
             target_insts=min(args.budget, insts), seed=args.seed,
-            backend="object",
+            telemetry=telemetry,
         )
-        sampler = ReservoirSampler(512, seed=args.seed)
-        orig = system.controller._commit
-
-        def commit(req, ch, now, orig=orig, sampler=sampler):
-            orig(req, ch, now)
-            if not req.is_write:
-                sampler.add(req.done_cycle - req.arrival_cycle)
-
-        system.controller._commit = commit
         system.run()
+        sampler = ReservoirSampler(512, seed=args.seed)
+        for span in telemetry.spans.completed:
+            if span.kind != "write":
+                sampler.add(span.done - span.arrival)
         core = system.cores[0]
         print(f"\n== {policy_name}: IPC {core.ipc():.3f}, "
               f"{sampler.seen} reads ==")

@@ -38,7 +38,8 @@ class _ChannelView:
 
     Each sub-controller believes it owns a one-channel DRAM: requests it
     sees all map to its channel, and ``channels[0]`` resolves to that
-    channel of the real system.
+    channel of the real system.  The real channel keeps its global
+    ``index``, which is the event-engine lane the sub-controller drives.
     """
 
     __slots__ = ("_dram", "_channel")
@@ -59,6 +60,20 @@ class _ChannelView:
         coord = self._dram.coord(addr)
         # re-home onto the view's only channel index (0)
         return replace(coord, channel=0)
+
+    @property
+    def observer(self):
+        """The real system's transaction observer, fed coordinates on the
+        real channel (``None`` when nothing observes)."""
+        observer = self._dram.observer
+        if observer is None:
+            return None
+        channel = self._channel
+
+        def rehomed(coord, *rest):
+            observer(replace(coord, channel=channel), *rest)
+
+        return rehomed
 
     def is_row_hit(self, coord) -> bool:
         return self._dram.channels[self._channel].is_row_hit(coord.bank, coord.row)

@@ -56,19 +56,19 @@ class RefreshScheduler:
 
         Returns the earliest cycle the channel may start a transaction
         (``now`` itself when no refresh interferes).  Overdue refreshes are
-        issued back-to-back, as a real controller would catch up.
+        issued back-to-back, as a real controller would catch up.  The
+        channel's bank arrays are updated in place.
         """
+        ready = channel.ready
+        open_row = channel.open_row
         start = now
         while self._next_refresh[channel_idx] <= start:
-            window_start = max(
-                self._next_refresh[channel_idx],
-                max(b.ready_cycle for b in channel.banks) if channel.banks else 0,
-            )
+            window_start = max(self._next_refresh[channel_idx], max(ready))
             window_end = window_start + self.t_rfc
-            for bank in channel.banks:
-                bank.open_row = None  # refresh precharges every bank
-                if bank.ready_cycle < window_end:
-                    bank.ready_cycle = window_end
+            for bank, cycle in enumerate(ready):
+                open_row[bank] = -1  # refresh precharges every bank
+                if cycle < window_end:
+                    ready[bank] = window_end
             self._next_refresh[channel_idx] += self.t_refi
             self.refreshes_issued += 1
             if window_end > start:

@@ -120,7 +120,7 @@ def analyze(system: MultiCoreSystem, app_names: list[str] | None = None) -> Syst
                     ch.total_row_hits / ch.transactions if ch.transactions else 0.0
                 ),
                 activations=ch.total_activations,
-                per_bank=tuple(b.activations + b.row_hits for b in ch.banks),
+                per_bank=tuple(a + h for a, h in zip(ch.acts, ch.hits)),
             )
         )
     cores = []

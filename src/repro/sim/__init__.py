@@ -1,9 +1,10 @@
 """Simulation driver: discrete-event engine, system assembly, run helpers.
 
-:class:`~repro.sim.engine.EventEngine` is a plain binary-heap event queue in
-the CPU clock domain; :class:`~repro.sim.system.MultiCoreSystem` assembles
-cores, caches, controller and DRAM from a :class:`~repro.config.SystemConfig`
-and a workload; :mod:`repro.sim.runner` provides the two run shapes the
+:class:`~repro.sim.engine.EventEngine` is the event queue in the CPU clock
+domain (a heap plus per-channel controller lanes);
+:class:`~repro.sim.system.MultiCoreSystem` assembles cores, caches,
+controller and DRAM from a :class:`~repro.config.SystemConfig` and a
+workload; :mod:`repro.sim.runner` provides the two run shapes the
 paper's methodology needs — single-core profiling runs and multi-core
 evaluation runs that stop when the last core commits its instruction budget
 (other cores keep generating traffic, statistics frozen at their own budget
@@ -12,7 +13,6 @@ crossing, exactly as in Section 4.1).
 
 from repro.sim.engine import EventEngine
 from repro.sim.runner import CoreResult, RunResult, run_multicore, run_single_core
-from repro.sim.sweep import SweepCell, SweepResult, grid, run_sweep
 from repro.sim.system import MultiCoreSystem
 
 __all__ = [
@@ -20,10 +20,6 @@ __all__ = [
     "EventEngine",
     "MultiCoreSystem",
     "RunResult",
-    "SweepCell",
-    "SweepResult",
-    "grid",
     "run_multicore",
     "run_single_core",
-    "run_sweep",
 ]

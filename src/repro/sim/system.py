@@ -30,7 +30,6 @@ from repro.core.policy import SchedulingPolicy
 from repro.cpu.core_model import TraceCore
 from repro.cpu.trace import TraceSource
 from repro.dram.dram_system import DramSystem
-from repro.sim.backend import resolve_backend
 from repro.sim.engine import EventEngine
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.sampler import Sampler
@@ -83,7 +82,6 @@ class MultiCoreSystem:
         controller_kind: str = "shared",
         policy_factory=None,
         telemetry: Telemetry | None = None,
-        backend: str | None = None,
     ) -> None:
         """``controller_kind='shared'`` is the paper's single controller;
         ``'split'`` builds one controller per logic channel (an
@@ -93,12 +91,7 @@ class MultiCoreSystem:
         ``telemetry`` attaches a :class:`~repro.telemetry.hub.Telemetry`
         hub: a periodic sampler rides the event engine and the controller
         publishes drain windows on the hub's bus.  ``None`` (the default)
-        schedules no extra events and costs nothing.
-
-        ``backend`` selects the simulation engine (``'auto'``/``'fast'``/
-        ``'object'``; see :mod:`repro.sim.backend`).  ``None`` consults
-        the ``REPRO_BACKEND`` environment variable, defaulting to auto.
-        Both backends produce bit-identical statistics."""
+        schedules no extra events and costs nothing."""
         config.validate()
         if len(traces) != config.num_cores:
             raise ValueError(
@@ -109,31 +102,11 @@ class MultiCoreSystem:
         self.target_insts = target_insts
         self.warmup_insts = warmup_insts
         self.rng = RngStream(seed, "system")
-        self.backend = resolve_backend(backend, config, controller_kind)
-        if self.backend == "fast":
-            from repro.controller.fast import FastMemoryController
-            from repro.dram.fast import FastDramSystem
-            from repro.sim.fast import FastEngine
-
-            self.engine = FastEngine()
-            self.dram = FastDramSystem(
-                config.dram_topology, config.dram_timing, config.line_bytes
-            )
-            self.controller = FastMemoryController(
-                config.controller,
-                self.dram,
-                policy,
-                config.num_cores,
-                self.engine,
-                self.rng.child("controller"),
-                line_bytes=config.line_bytes,
-                telemetry=telemetry,
-            )
-        elif controller_kind == "shared":
-            self.engine = EventEngine()
-            self.dram = DramSystem(
-                config.dram_topology, config.dram_timing, config.line_bytes
-            )
+        self.engine = EventEngine()
+        self.dram = DramSystem(
+            config.dram_topology, config.dram_timing, config.line_bytes
+        )
+        if controller_kind == "shared":
             self.controller = MemoryController(
                 config.controller,
                 self.dram,
@@ -147,10 +120,6 @@ class MultiCoreSystem:
         elif controller_kind == "split":
             from repro.controller.split import SplitControllerGroup
 
-            self.engine = EventEngine()
-            self.dram = DramSystem(
-                config.dram_topology, config.dram_timing, config.line_bytes
-            )
             if policy_factory is None:
                 raise ValueError("split controllers need a policy_factory")
             policies = [

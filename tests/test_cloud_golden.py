@@ -1,12 +1,12 @@
 """Golden cloud tail-latency table: the bit-identity contract for the
 open-loop workload family.
 
-Same deal as ``test_golden_stats.py``: both simulation backends must
-reproduce the SAME checked-in snapshot — per-request latencies in
-integer cycles, SLO-violation attribution vectors, batch IPCs through
-``float.hex()``, and the rendered table byte for byte.  On top of the
-backend axis, the rendered table must also be byte-identical between
-serial execution and the ``--jobs 2`` cell planner.
+Same deal as ``test_golden_stats.py``: the simulator must reproduce the
+checked-in snapshot — per-request latencies in integer cycles,
+SLO-violation attribution vectors, batch IPCs through ``float.hex()``,
+and the rendered table byte for byte.  The rendered table must also be
+byte-identical between serial execution and the ``--jobs 2`` cell
+planner.
 
 Regenerate deliberately (a model change, not an optimization)::
 
@@ -25,7 +25,6 @@ from repro.experiments import ExperimentContext, format_cloud, run_cloud_table
 from repro.experiments.cloud import run_cloud
 from repro.experiments.parallel import merge_into, plan_cells, run_cells
 from repro.metrics.memory_efficiency import MeProfiler
-from repro.sim.backend import ENV_VAR
 from repro.workloads.cloud import cloud_mix_by_name
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_cloud.json"
@@ -36,7 +35,6 @@ BUDGET = 2000
 WARMUP = 1500
 PROFILE_BUDGET = 1000
 SEEDS = (1,)
-BACKENDS = ("object", "fast")
 
 
 def _hex(x: float) -> str:
@@ -55,12 +53,12 @@ def _batch_me(mix, seed: int):
     return tuple(profiler.profile(app).me for app in mix.batch_apps())
 
 
-def _run_detail(mix_name: str, policy: str, backend: str) -> dict:
+def _run_detail(mix_name: str, policy: str) -> dict:
     mix = cloud_mix_by_name(mix_name)
     me = _batch_me(mix, SEEDS[0]) if policy.startswith("ME-") else None
     r = run_cloud(
         mix_name, policy, inst_budget=BUDGET, seed=SEEDS[0],
-        warmup_insts=WARMUP, me_values=me, backend=backend,
+        warmup_insts=WARMUP, me_values=me,
     )
     return {
         "end_cycle": r.end_cycle,
@@ -84,7 +82,7 @@ def _run_detail(mix_name: str, policy: str, backend: str) -> dict:
     }
 
 
-def _current_snapshot(backend: str) -> dict:
+def _current_snapshot() -> dict:
     rows = run_cloud_table(small_ctx(), mixes=MIXES, policies=POLICIES)
     return {
         "mixes": list(MIXES),
@@ -94,7 +92,7 @@ def _current_snapshot(backend: str) -> dict:
         "profile_budget": PROFILE_BUDGET,
         "table": format_cloud(rows),
         "runs": {
-            f"{m}:{p}": _run_detail(m, p, backend)
+            f"{m}:{p}": _run_detail(m, p)
             for m in MIXES for p in POLICIES
         },
     }
@@ -117,21 +115,9 @@ def _diff_paths(expected, actual, prefix=""):
     return diffs
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
-def snapshot(request):
-    """One snapshot per backend; the serial table goes through the same
-    env override the CLI's ``--backend`` flag uses."""
-    backend = request.param
-    saved = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = backend
-    try:
-        snap = _current_snapshot(backend)
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = saved
-    return backend, snap
+@pytest.fixture(scope="module")
+def snapshot():
+    return _current_snapshot()
 
 
 def test_golden_snapshot_exists():
@@ -141,25 +127,21 @@ def test_golden_snapshot_exists():
 
 
 def test_golden_cloud_bit_identical(snapshot):
-    backend, snap = snapshot
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        if backend != "object":
-            pytest.skip("golden file is regenerated from the object backend")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(json.dumps(snap, indent=2) + "\n")
+        GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
         pytest.skip(f"regenerated {GOLDEN_PATH}")
     golden = json.loads(GOLDEN_PATH.read_text())
-    diffs = _diff_paths(golden, snap)
+    diffs = _diff_paths(golden, snapshot)
     assert not diffs, (
-        f"cloud statistics drifted from the golden snapshot under the "
-        f"{backend!r} backend:\n  " + "\n  ".join(diffs[:40])
+        "cloud statistics drifted from the golden snapshot:\n  "
+        + "\n  ".join(diffs[:40])
     )
 
 
 def test_attribution_conserved_in_golden(snapshot):
     """The committed numbers themselves satisfy the conservation law."""
-    _backend, snap = snapshot
-    for detail in snap["runs"].values():
+    for detail in snapshot["runs"].values():
         for svc in detail["services"]:
             expected = sum(
                 lat for lat in svc["latencies"] if lat > svc["slo"]
@@ -169,8 +151,7 @@ def test_attribution_conserved_in_golden(snapshot):
 
 
 def test_policies_distinguishable(snapshot):
-    _backend, snap = snapshot
-    cycles = {k: d["end_cycle"] for k, d in snap["runs"].items()}
+    cycles = {k: d["end_cycle"] for k, d in snapshot["runs"].items()}
     assert len(set(cycles.values())) > 1, cycles
 
 

@@ -1,4 +1,4 @@
-"""Tests for the logic-channel timing model (banks + shared data bus)."""
+"""Tests for the logic-channel timing model (bank arrays + shared data bus)."""
 
 import pytest
 
@@ -38,6 +38,79 @@ class TestSingleTransaction:
         t = ch.execute(0, row=9, now=first.data_end, is_write=False, keep_open=False)
         assert not t.row_hit
         assert t.cas_cycle == first.data_end + T.t_rp + T.t_rcd
+
+
+class TestBankState:
+    """Per-bank row-buffer and ready-time bookkeeping of ``execute``."""
+
+    def test_starts_precharged(self):
+        ch = make_channel()
+        assert ch.open_row == [-1] * 4
+        assert ch.ready == [0] * 4
+        assert not ch.is_row_hit(0, 5)
+
+    def test_idle_bank_starts_at_now(self):
+        ch = make_channel()
+        t = ch.execute(0, row=5, now=100, is_write=False, keep_open=False)
+        assert t.start_cycle == 100
+
+    def test_keep_open_latches_row(self):
+        ch = make_channel()
+        t = ch.execute(0, row=7, now=0, is_write=False, keep_open=True)
+        assert ch.is_row_hit(0, 7)
+        assert ch.ready[0] == t.data_end  # CAS to same row may follow the burst
+
+    def test_auto_precharge_closes_row(self):
+        ch = make_channel()
+        t = ch.execute(0, row=7, now=0, is_write=False, keep_open=False)
+        assert ch.open_row[0] == -1
+        assert ch.ready[0] == t.data_end + T.t_rp
+
+    def test_write_recovery_added(self):
+        ch = make_channel()
+        t = ch.execute(0, row=7, now=0, is_write=True, keep_open=False)
+        assert ch.ready[0] == t.data_end + T.t_wr + T.t_rp
+
+    def test_hit_and_activation_counters(self):
+        ch = make_channel()
+        ch.execute(1, row=1, now=0, is_write=False, keep_open=True)
+        ch.execute(1, row=1, now=200, is_write=False, keep_open=True)
+        assert ch.acts == [0, 1, 0, 0]
+        assert ch.hits == [0, 1, 0, 0]
+        assert ch.confs == [0, 0, 0, 0]
+
+    def test_conflict_precharge_counted(self):
+        ch = make_channel()
+        ch.execute(0, row=3, now=0, is_write=False, keep_open=True)
+        t = ch.execute(0, row=4, now=500, is_write=False, keep_open=True)
+        assert t.conflict
+        assert t.start_cycle == 500
+        assert t.cas_cycle == 500 + T.t_rp + T.t_rcd
+        assert ch.confs[0] == 1
+
+    def test_conflict_precharge_waits_for_bank(self):
+        ch = make_channel()
+        first = ch.execute(0, row=3, now=0, is_write=False, keep_open=True)
+        # bank ready at first.data_end; an earlier commit queues behind it
+        t = ch.execute(0, row=4, now=1, is_write=False, keep_open=False)
+        assert t.start_cycle == first.data_end
+        assert t.cas_cycle == first.data_end + T.t_rp + T.t_rcd
+
+    def test_precharged_bank_pays_no_precharge(self):
+        ch = make_channel()
+        ch.execute(0, row=3, now=0, is_write=False, keep_open=False)
+        t = ch.execute(0, row=4, now=1000, is_write=False, keep_open=False)
+        assert not t.conflict
+        assert t.cas_cycle == 1000 + T.t_rcd
+
+    def test_reset_restores_bank_state(self):
+        ch = make_channel()
+        ch.execute(0, row=3, now=0, is_write=True, keep_open=True)
+        ch.execute(0, row=4, now=500, is_write=False, keep_open=True)
+        ch.reset()
+        assert ch.open_row == [-1] * 4
+        assert ch.ready == [0] * 4
+        assert ch.acts == ch.hits == ch.confs == [0] * 4
 
 
 class TestBusSerialisation:

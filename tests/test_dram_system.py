@@ -12,7 +12,7 @@ class TestRouting:
     def test_channel_count(self):
         sys_ = make_system()
         assert len(sys_.channels) == 2
-        assert all(len(ch.banks) == 16 for ch in sys_.channels)
+        assert all(ch.num_banks == len(ch.ready) == 16 for ch in sys_.channels)
 
     def test_execute_routes_to_decoded_channel(self):
         sys_ = make_system()

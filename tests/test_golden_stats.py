@@ -41,9 +41,6 @@ SEED = 7
 BUDGET = 2500
 WARMUP = 2000
 POLICIES = ("HF-RF", "ME-LREQ", "RR", "LREQ")
-#: both engines must reproduce the SAME golden file — the fingerprints
-#: are backend-independent by contract (see repro/sim/backend.py)
-BACKENDS = ("object", "fast")
 
 
 def _hex(x: float) -> str:
@@ -55,13 +52,13 @@ def _me_values(mix):
     return profiler.me_values(mix)
 
 
-def _run_fingerprint(policy: str, backend: str) -> dict:
+def _run_fingerprint(policy: str) -> dict:
     """End-of-run statistics of one multicore run through the public path."""
     mix = workload_by_name(MIX)
     me = _me_values(mix) if policy == "ME-LREQ" else None
     result = run_multicore(
         mix, policy, inst_budget=BUDGET, seed=SEED,
-        warmup_insts=WARMUP, me_values=me, backend=backend,
+        warmup_insts=WARMUP, me_values=me,
     )
     return {
         "end_cycle": result.end_cycle,
@@ -82,14 +79,14 @@ def _run_fingerprint(policy: str, backend: str) -> dict:
     }
 
 
-def _deep_fingerprint(backend: str) -> dict:
+def _deep_fingerprint() -> dict:
     """Internal counters of one assembled system (HF-RF), beyond RunResult.
 
     Catches drift that the run-level statistics could mask: event counts,
     per-bank row-buffer behaviour, cache/MSHR traffic, write drains.
     The engine counters (``events_processed``/``clamped_events``) are
-    part of the fingerprint, so the fast engine's lane dispatch must
-    count events exactly like the object engine's heap loop.
+    part of the fingerprint, so lane dispatch order and counting are
+    pinned too.
     """
     mix = workload_by_name(MIX)
     cfg = SystemConfig().with_cores(mix.num_cores)
@@ -99,7 +96,7 @@ def _deep_fingerprint(backend: str) -> dict:
     ]
     system = MultiCoreSystem(
         cfg, make_policy("HF-RF"), traces, BUDGET,
-        warmup_insts=WARMUP, seed=SEED, backend=backend,
+        warmup_insts=WARMUP, seed=SEED,
     )
     system.run()
     st = system.controller.stats
@@ -155,14 +152,14 @@ def _deep_fingerprint(backend: str) -> dict:
     }
 
 
-def _current_snapshot(backend: str) -> dict:
+def _current_snapshot() -> dict:
     return {
         "mix": MIX,
         "seed": SEED,
         "budget": BUDGET,
         "warmup": WARMUP,
-        "runs": {p: _run_fingerprint(p, backend) for p in POLICIES},
-        "deep": _deep_fingerprint(backend),
+        "runs": {p: _run_fingerprint(p) for p in POLICIES},
+        "deep": _deep_fingerprint(),
     }
 
 
@@ -184,10 +181,9 @@ def _diff_paths(expected, actual, prefix=""):
     return diffs
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
-def snapshot(request):
-    """One snapshot per backend; every test below runs against both."""
-    return request.param, _current_snapshot(request.param)
+@pytest.fixture(scope="module")
+def snapshot():
+    return _current_snapshot()
 
 
 def test_golden_snapshot_exists():
@@ -197,25 +193,20 @@ def test_golden_snapshot_exists():
 
 
 def test_golden_stats_bit_identical(snapshot):
-    backend, snap = snapshot
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        if backend != "object":
-            pytest.skip("golden file is regenerated from the object backend")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(json.dumps(snap, indent=2) + "\n")
+        GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
         pytest.skip(f"regenerated {GOLDEN_PATH}")
     golden = json.loads(GOLDEN_PATH.read_text())
-    diffs = _diff_paths(golden, snap)
+    diffs = _diff_paths(golden, snapshot)
     assert not diffs, (
-        f"simulation statistics drifted from the golden snapshot under the "
-        f"{backend!r} backend (an optimization changed simulated "
-        "behaviour):\n  " + "\n  ".join(diffs[:40])
+        "simulation statistics drifted from the golden snapshot (an "
+        "optimization changed simulated behaviour):\n  " + "\n  ".join(diffs[:40])
     )
 
 
 def test_policies_distinguishable(snapshot):
     """Sanity: the four policies do not collapse onto identical outcomes
     (a snapshot of four identical runs would pin nothing)."""
-    _backend, snap = snapshot
-    cycles = {p: snap["runs"][p]["end_cycle"] for p in POLICIES}
+    cycles = {p: snapshot["runs"][p]["end_cycle"] for p in POLICIES}
     assert len(set(cycles.values())) > 1, cycles

@@ -4,9 +4,8 @@ Unit tests drive ``select_read`` against a hand-built scheduling context
 so the least-attained-service ranking and the adaptive re-rank interval
 (halve on skewed service, double on balanced service, clamped) of
 arXiv:1907.07776 are checked boundary by boundary.  The golden section
-pins one end-to-end run per backend against
-``tests/golden/golden_cads.json`` (float-hex exact; regenerate with
-``REPRO_REGEN_GOLDEN=1``, always from the object backend).
+pins one end-to-end run against ``tests/golden/golden_cads.json``
+(float-hex exact; regenerate with ``REPRO_REGEN_GOLDEN=1``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ MIX = "4MEM-1"
 SEED = 7
 BUDGET = 2500
 WARMUP = 2000
-BACKENDS = ("object", "fast")
 
 
 def make_ctx(num_cores=4, capacity=64):
@@ -183,17 +181,17 @@ class TestParameters:
         assert cost.per_core_bits > 0
 
 
-# -- golden fingerprints (both backends vs one object-made file) -------------
+# -- golden fingerprint ------------------------------------------------------
 
 
 def _hex(x: float) -> str:
     return float(x).hex()
 
 
-def _fingerprint(backend: str) -> dict:
+def _fingerprint() -> dict:
     result = run_multicore(
         workload_by_name(MIX), "CADS", inst_budget=BUDGET, seed=SEED,
-        warmup_insts=WARMUP, backend=backend,
+        warmup_insts=WARMUP,
     )
     return {
         "mix": MIX,
@@ -218,12 +216,9 @@ def _fingerprint(backend: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_golden_cads_bit_identical(backend):
-    snap = _fingerprint(backend)
+def test_golden_cads_bit_identical():
+    snap = _fingerprint()
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        if backend != "object":
-            pytest.skip("golden file is regenerated from the object backend")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(snap, indent=2) + "\n")
         pytest.skip(f"regenerated {GOLDEN_PATH}")
@@ -231,7 +226,4 @@ def test_golden_cads_bit_identical(backend):
         f"{GOLDEN_PATH} missing — run with REPRO_REGEN_GOLDEN=1 to create it"
     )
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert snap == golden, (
-        f"CADS statistics drifted from the golden snapshot under the "
-        f"{backend!r} backend"
-    )
+    assert snap == golden, f"CADS statistics drifted from the golden snapshot"

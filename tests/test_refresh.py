@@ -32,8 +32,8 @@ class TestScheduler:
         usable = sched.advance(0, ch, 1000)
         assert usable >= 1100
         assert sched.refreshes_issued == 1
-        assert all(b.open_row is None for b in ch.banks)
-        assert all(b.ready_cycle >= usable for b in ch.banks)
+        assert ch.open_row == [-1] * 4
+        assert all(ready >= usable for ready in ch.ready)
 
     def test_catches_up_on_overdue_refreshes(self):
         ch = Channel(0, 2, DramTimingConfig())
