@@ -61,19 +61,9 @@ class _ChannelView:
         # re-home onto the view's only channel index (0)
         return replace(coord, channel=0)
 
-    @property
-    def observer(self):
-        """The real system's transaction observer, fed coordinates on the
-        real channel (``None`` when nothing observes)."""
-        observer = self._dram.observer
-        if observer is None:
-            return None
-        channel = self._channel
-
-        def rehomed(coord, *rest):
-            observer(replace(coord, channel=channel), *rest)
-
-        return rehomed
+    #: sub-controllers feed no transaction observer: their coordinates
+    #: are re-homed to channel 0, which a command log would misattribute
+    observer = None
 
     def is_row_hit(self, coord) -> bool:
         return self._dram.channels[self._channel].is_row_hit(coord.bank, coord.row)

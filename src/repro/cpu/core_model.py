@@ -30,7 +30,7 @@ Fidelity approximations (intentional, documented):
   was stalled, slightly conservative).
 * Each core may run up to ``lookahead`` cycles past the globally committed
   simulation time; requests it emits are future-dated and the controller
-  refuses to schedule them early (see ``MemoryController._candidates``),
+  refuses to schedule them early (see ``MemoryController._point``),
   so causality holds, while the bound keeps cross-core L2 interleaving
   honest.
 """

@@ -148,13 +148,11 @@ class Channel:
         self.data_cycles = 0
         self._act_times.clear()
         nb = self.num_banks
-        # In place: the controller and refresh hold no copies, but keep
-        # the list identities stable all the same.
-        self.ready[:] = [0] * nb
-        self.open_row[:] = [-1] * nb
-        self.hits[:] = [0] * nb
-        self.acts[:] = [0] * nb
-        self.confs[:] = [0] * nb
+        self.ready = [0] * nb
+        self.open_row = [-1] * nb
+        self.hits = [0] * nb
+        self.acts = [0] * nb
+        self.confs = [0] * nb
 
     # -- scheduling ----------------------------------------------------------
 
