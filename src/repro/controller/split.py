@@ -44,6 +44,10 @@ class _ChannelView:
 
     __slots__ = ("_dram", "_channel")
 
+    #: sub-controllers feed no transaction observer: their coordinates
+    #: are re-homed to channel 0, which a command log would misattribute
+    observer = None
+
     def __init__(self, dram: DramSystem, channel: int) -> None:
         self._dram = dram
         self._channel = channel
@@ -60,10 +64,6 @@ class _ChannelView:
         coord = self._dram.coord(addr)
         # re-home onto the view's only channel index (0)
         return replace(coord, channel=0)
-
-    #: sub-controllers feed no transaction observer: their coordinates
-    #: are re-homed to channel 0, which a command log would misattribute
-    observer = None
 
     def is_row_hit(self, coord) -> bool:
         return self._dram.channels[self._channel].is_row_hit(coord.bank, coord.row)
