@@ -25,9 +25,16 @@ from repro.experiments.cells import (
     eval_cell_key,
     profile_cell_key,
 )
+from repro.experiments.ablations import (
+    ablation_lookahead,
+    ablation_page_policy,
+    ablation_table_bits,
+    ablation_write_drain,
+)
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.harness import ExperimentContext
 from repro.experiments.parallel import merge_into, plan_cells, run_cells
+from repro.experiments.table2 import run_table2
 from repro.workloads.mixes import workload_by_name
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_stats.json"
@@ -51,22 +58,60 @@ def _figure2_rows(ctx):
     return run_figure2(ctx, core_counts=(2,), groups=("MEM",))
 
 
+def _ablation_rows(ctx):
+    return (ablation_table_bits(ctx), ablation_page_policy(ctx),
+            ablation_write_drain(ctx), ablation_lookahead(ctx))
+
+
+#: section -> (plan_cells keyword arguments, rendered rows of the section)
+SECTIONS = {
+    "figure2": ({"figure2": ((2,), ("MEM",))}, _figure2_rows),
+    "table2": ({"table2": True}, run_table2),
+    "ablations": ({"ablations": True}, _ablation_rows),
+}
+
+
 @pytest.fixture(scope="module")
 def serial_rows():
     return _figure2_rows(_ctx())
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_parallel_figure2_matches_serial(serial_rows, jobs):
+@pytest.mark.parametrize("section,jobs", [
+    pytest.param("figure2", 2, id="2"),
+    pytest.param("figure2", 4, id="4"),
+    pytest.param("table2", 2, id="table2-2"),
+    pytest.param("ablations", 2, id="ablations-2"),
+])
+def test_parallel_figure2_matches_serial(serial_rows, section, jobs):
+    """Every cell kind (profile, single, eval, custom) prewarmed over a
+    pool renders the same rows as the serial harness."""
+    plan, render = SECTIONS[section]
     ctx = _ctx()
-    cells = plan_cells(ctx, figure2=((2,), ("MEM",)))
+    cells = plan_cells(ctx, **plan)
     report = run_cells(cells, jobs=jobs)
     assert not report.failures, report.failure_report()
     merge_into(ctx, report)
-    rows = _figure2_rows(ctx)
-    assert rows == serial_rows
+    want = serial_rows if section == "figure2" else render(_ctx())
+    assert render(ctx) == want
     # every cell came from the prewarm, none from in-section simulation
     assert report.executed == len(cells)
+
+
+def test_serial_order_is_single_core_then_multi_core_in_key_order():
+    """``--jobs 1`` runs profile/single cells first, then multi-core
+    cells, each in canonical key order: the trace replay cache holds a
+    mix's streams only while its cells run back to back."""
+    from repro.telemetry.bus import TelemetryBus
+
+    cells = plan_cells(_ctx(), figure2=((2,), ("MEM",)))
+    bus = TelemetryBus()
+    run_cells(list(reversed(cells)), jobs=1, bus=bus)
+    order = [e.args["key"] for e in bus.named("experiment.cell")]
+    single = sorted(c.key.key_str() for c in cells
+                    if c.key.kind in ("profile", "single"))
+    multi = sorted(c.key.key_str() for c in cells
+                   if c.key.kind not in ("profile", "single"))
+    assert order == single + multi
 
 
 def test_merge_order_is_key_order_not_completion_order(serial_rows):
