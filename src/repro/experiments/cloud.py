@@ -348,7 +348,7 @@ def run_cloud_table(
                 for core in res.batch:
                     h.update(f"|b{core.core_id}:{core.ipc.hex()}".encode())
                 if res.batch:
-                    singles = ctx.batch_single_ipcs(mix.batch_apps(), seed)
+                    singles = ctx.single_ipcs(mix.batch_apps(), seed)
                     speedups.append(
                         smt_speedup(tuple(c.ipc for c in res.batch), singles)
                     )

@@ -1,20 +1,20 @@
 """Shared experiment machinery.
 
 :class:`ExperimentContext` owns the knobs every experiment shares — the
-instruction budget, warmup, seeds and system configuration — plus caches:
-one :class:`~repro.metrics.memory_efficiency.MeProfiler` per seed, and a
-memo of evaluation runs keyed by ``(workload, policy, seed)`` so that
-experiments which share cells (e.g. Figure 2's speedups and Figure 4's
-latencies over the same runs) never simulate twice.
+instruction budget, warmup, seeds and system configuration — and one
+memo of simulation results keyed by :class:`~repro.experiments.cells.CellKey`,
+so experiments which share cells (e.g. Figure 2's speedups and Figure 4's
+latencies over the same runs, or every mix that profiles application
+``b``) never simulate twice.
 
-The in-memory memo is a **read-through layer** over an optional on-disk
-:class:`~repro.experiments.cache.ResultCache`: attach one and every
-evaluation / profiling / single-core run first consults the cache (keys
-include every run determinant — seed, budgets, warmup, lookahead, config
-digest, policy constructor arguments — see
-:mod:`repro.experiments.cells`), falling back to simulation and writing
-the result back.  The parallel runner
-(:mod:`repro.experiments.parallel`) pre-warms both layers so the serial
+Every harness method builds its cell with the context's cell builders
+(:meth:`ExperimentContext.eval_cell` …) and asks :meth:`ExperimentContext.result`
+for it.  The memo is a **read-through layer** over an optional on-disk
+:class:`~repro.experiments.cache.ResultCache`: keys include every run
+determinant — seed, budgets, warmup, lookahead, config digest, policy
+constructor arguments — so a hit is always the result the context would
+compute itself.  The parallel runner (:mod:`repro.experiments.parallel`)
+plans with the same builders and pre-warms the memo, so the serial
 harness code emits bit-identical tables at full speed.
 """
 
@@ -24,21 +24,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.config import SystemConfig
-from repro.core.policy import SchedulingPolicy
-from repro.core.registry import make_policy
 from repro.experiments.cells import (
+    ME_FAMILY,
+    Cell,
     CellKey,
     cloud_cell_key,
     custom_cell_key,
     eval_cell_key,
-    policy_from_spec,
+    execute_cell,
     profile_cell_key,
     single_cell_key,
 )
-from repro.metrics.memory_efficiency import MeProfiler
 from repro.metrics.speedup import smt_speedup, unfairness
-from repro.sim.runner import DEFAULT_WARMUP, RunResult, run_multicore
+from repro.sim.runner import DEFAULT_WARMUP, RunResult
 from repro.workloads.mixes import Mix, workload_by_name
+from repro.workloads.spec2000 import AppProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.cache import ResultCache
@@ -100,130 +100,122 @@ class ExperimentContext:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("need at least one seed")
-        self._profilers: dict[int, MeProfiler] = {}
-        self._runs: dict[tuple[str, str, int], RunResult] = {}
-        self._custom_runs: dict[CellKey, RunResult] = {}
-        self._cloud_runs: dict[tuple[str, str, int], object] = {}
+        self._results: dict[CellKey, object] = {}
 
-    # -- profiling --------------------------------------------------------------
+    # -- cells ---------------------------------------------------------------------
 
-    def profiler(self, seed: int) -> MeProfiler:
-        prof = self._profilers.get(seed)
-        if prof is None:
-            prof = MeProfiler(self.profile_budget, seed=seed, config=self.config)
-            self._profilers[seed] = prof
-        return prof
+    def profile_cell(self, code: str, seed: int) -> Cell:
+        """ME-profiling run of one application (Table 2, ME vectors)."""
+        return Cell(key=profile_cell_key(code, seed, self.profile_budget,
+                                         self.config),
+                    config=self.config)
 
-    def me_values(self, mix: Mix, seed: int) -> tuple[float, ...]:
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in mix.apps():
-                if prof.has_profile(app.code):
-                    continue
-                key = profile_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_profile(hit)
-                else:
-                    self.cache.put(key, prof.profile(app))
-        return prof.me_values(mix)
+    def single_cell(self, code: str, seed: int) -> Cell:
+        """Single-core evaluation run (the SMT-speedup denominator)."""
+        return Cell(key=single_cell_key(code, seed, self.profile_budget,
+                                        self.config),
+                    config=self.config)
 
-    def single_ipcs(self, mix: Mix, seed: int) -> tuple[float, ...]:
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in mix.apps():
-                if prof.has_single(app.code):
-                    continue
-                key = single_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_single(app.code, hit)
-                else:
-                    self.cache.put(key, prof.single_core_result(app))
-        return prof.single_ipcs(mix)
+    def _me_deps(self, codes, seed: int, policy: str) -> tuple[CellKey, ...]:
+        """Profile cells behind an ME-family policy's ME vector (always
+        on the context's baseline machine)."""
+        if policy.upper() not in ME_FAMILY:
+            return ()
+        return tuple(self.profile_cell(code, seed).key for code in codes)
 
-    def batch_me(self, apps, seed: int) -> tuple[float, ...]:
-        """ME ranks for a list of batch applications (cloud batch cores),
-        read-through to the disk cache like :meth:`me_values`."""
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in apps:
-                if prof.has_profile(app.code):
-                    continue
-                key = profile_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_profile(hit)
-                else:
-                    self.cache.put(key, prof.profile(app))
-        return tuple(prof.profile(app).me for app in apps)
+    def eval_cell(self, workload: str | Mix, policy: str, seed: int) -> Cell:
+        """One Table 3 mix under one registered policy."""
+        mix = workload_by_name(workload) if isinstance(workload, str) else workload
+        key = eval_cell_key(mix.name, policy, seed, self.inst_budget,
+                            self.warmup_insts, self.lookahead, self.config,
+                            self.profile_budget)
+        return Cell(key=key, config=self.config,
+                    me_deps=self._me_deps(mix.codes, seed, policy))
 
-    def batch_single_ipcs(self, apps, seed: int) -> tuple[float, ...]:
-        """Single-core eval IPCs for a list of batch applications (the
-        cloud table's speedup denominator), cache read-through like
-        :meth:`single_ipcs`."""
-        prof = self.profiler(seed)
-        if self.cache is not None:
-            for app in apps:
-                if prof.has_single(app.code):
-                    continue
-                key = single_cell_key(
-                    app.code, seed, self.profile_budget, self.config
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    prof.preload_single(app.code, hit)
-                else:
-                    self.cache.put(key, prof.single_core_result(app))
-        return tuple(prof.single_core_ipc(app) for app in apps)
-
-    # -- evaluation runs -----------------------------------------------------------
-
-    def _make_policy(self, name: str, mix: Mix, seed: int) -> SchedulingPolicy:
-        key = name.upper()
-        if key in ("ME", "ME-LREQ"):
-            return make_policy(key, me_values=self.me_values(mix, seed))
-        return make_policy(key)
-
-    def _eval_key(self, mix_name: str, policy: str, seed: int) -> CellKey:
-        return eval_cell_key(
-            mix_name, policy, seed, self.inst_budget, self.warmup_insts,
-            self.lookahead, self.config, self.profile_budget,
+    def custom_cell(
+        self,
+        workload: str | Mix,
+        policy: str,
+        seed: int,
+        *,
+        policy_args: tuple = (),
+        config: SystemConfig | None = None,
+        lookahead: int | None = None,
+    ) -> Cell:
+        """An ablation run: constructor arguments and/or a non-default
+        config or lookahead."""
+        mix = workload_by_name(workload) if isinstance(workload, str) else workload
+        cfg = config if config is not None else self.config
+        la = lookahead if lookahead is not None else self.lookahead
+        key = custom_cell_key(
+            mix.name, policy, policy_args, seed, self.inst_budget,
+            self.warmup_insts, la, cfg, self.profile_budget,
+            me_config=self.config if cfg is not self.config else None,
         )
+        return Cell(key=key, config=cfg,
+                    me_deps=self._me_deps(mix.codes, seed, policy),
+                    policy_ctor_args=tuple(policy_args))
+
+    def cloud_cell(self, workload, policy: str, seed: int) -> Cell:
+        """One cloud co-run; ME ranks come from the batch cores only
+        (service cores carry pinned ranks)."""
+        from repro.workloads.cloud import cloud_mix_by_name
+
+        mix = cloud_mix_by_name(workload) if isinstance(workload, str) else workload
+        key = cloud_cell_key(mix.name, policy, seed, self.inst_budget,
+                             self.warmup_insts, self.lookahead, self.config,
+                             self.profile_budget)
+        codes = [app.code for app in mix.batch_apps()]
+        return Cell(key=key, config=self.config,
+                    me_deps=self._me_deps(codes, seed, policy))
+
+    def result(self, cell: Cell):
+        """The cell's payload: memo, then disk cache, then simulation.
+
+        An ME-family cell's vector is resolved from its profile cells
+        through this same method; a simulated result is written back to
+        the cache.
+        """
+        key = cell.key
+        payload = self._results.get(key)
+        if payload is not None:
+            return payload
+        if self.cache is not None:
+            payload = self.cache.get(key)
+        if payload is None:
+            if cell.me_deps and cell.me_values is None:
+                cell = cell.with_me_values(tuple(
+                    self.result(Cell(key=dep, config=self.config)).me
+                    for dep in cell.me_deps
+                ))
+            payload = execute_cell(cell)
+            if self.cache is not None:
+                self.cache.put(key, payload)
+        self._results[key] = payload
+        return payload
+
+    # -- harness views ---------------------------------------------------------------
+
+    def me_values(self, apps: Mix | Sequence[AppProfile],
+                  seed: int) -> tuple[float, ...]:
+        """Per-core ME vector of a mix (or of a list of applications)."""
+        if isinstance(apps, Mix):
+            apps = apps.apps()
+        return tuple(self.result(self.profile_cell(app.code, seed)).me
+                     for app in apps)
+
+    def single_ipcs(self, apps: Mix | Sequence[AppProfile],
+                    seed: int) -> tuple[float, ...]:
+        """Per-core single-core IPCs of a mix (or of a list of
+        applications) — the SMT-speedup denominators."""
+        if isinstance(apps, Mix):
+            apps = apps.apps()
+        return tuple(self.result(self.single_cell(app.code, seed)).ipc
+                     for app in apps)
 
     def run(self, workload: str | Mix, policy: str, seed: int) -> RunResult:
         """One evaluation run (memoised; read-through to the disk cache)."""
-        mix = workload_by_name(workload) if isinstance(workload, str) else workload
-        key = (mix.name, policy.upper(), seed)
-        hit = self._runs.get(key)
-        if hit is not None:
-            return hit
-        cell_key = None
-        if self.cache is not None:
-            cell_key = self._eval_key(mix.name, policy, seed)
-            cached = self.cache.get(cell_key)
-            if cached is not None:
-                self._runs[key] = cached
-                return cached
-        result = run_multicore(
-            mix,
-            self._make_policy(policy, mix, seed),
-            inst_budget=self.inst_budget,
-            seed=seed,
-            warmup_insts=self.warmup_insts,
-            config=self.config,
-            lookahead=self.lookahead,
-        )
-        if cell_key is not None:
-            self.cache.put(cell_key, result)
-        self._runs[key] = result
-        return result
+        return self.result(self.eval_cell(workload, policy, seed))
 
     def run_custom(
         self,
@@ -235,47 +227,13 @@ class ExperimentContext:
         config: SystemConfig | None = None,
         lookahead: int | None = None,
     ) -> RunResult:
-        """An ablation run: ``policy`` with constructor arguments and/or a
-        non-default config or lookahead (memoised and disk-cached like
-        :meth:`run`; ME-family policies profile on the *context's*
-        baseline machine, matching the paper's offline methodology)."""
-        mix = workload_by_name(workload) if isinstance(workload, str) else workload
-        cfg = config if config is not None else self.config
-        la = lookahead if lookahead is not None else self.lookahead
-        cell_key = custom_cell_key(
-            mix.name, policy, policy_args, seed, self.inst_budget,
-            self.warmup_insts, la, cfg, self.profile_budget,
-            me_config=self.config if cfg is not self.config else None,
-        )
-        hit = self._custom_runs.get(cell_key)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            cached = self.cache.get(cell_key)
-            if cached is not None:
-                self._custom_runs[cell_key] = cached
-                return cached
-        name = policy.upper()
-        me = self.me_values(mix, seed) if name in ("ME", "ME-LREQ") else None
-        result = run_multicore(
-            mix,
-            policy_from_spec(name, tuple(policy_args), me),
-            inst_budget=self.inst_budget,
-            seed=seed,
-            warmup_insts=self.warmup_insts,
-            config=cfg,
-            lookahead=la,
-        )
-        if self.cache is not None:
-            self.cache.put(cell_key, result)
-        self._custom_runs[cell_key] = result
-        return result
-
-    def _cloud_key(self, mix_name: str, policy: str, seed: int) -> CellKey:
-        return cloud_cell_key(
-            mix_name, policy, seed, self.inst_budget, self.warmup_insts,
-            self.lookahead, self.config, self.profile_budget,
-        )
+        """An ablation run (memoised and disk-cached like :meth:`run`;
+        ME-family policies profile on the *context's* baseline machine,
+        matching the paper's offline methodology)."""
+        return self.result(self.custom_cell(
+            workload, policy, seed, policy_args=policy_args, config=config,
+            lookahead=lookahead,
+        ))
 
     def cloud_run(self, workload, policy: str, seed: int):
         """One cloud co-run (memoised; read-through to the disk cache).
@@ -283,58 +241,7 @@ class ExperimentContext:
         ``workload`` is a cloud mix name or :class:`CloudMix`; returns a
         :class:`~repro.experiments.cloud.CloudResult`.
         """
-        from repro.experiments.cloud import run_cloud
-        from repro.workloads.cloud import cloud_mix_by_name
-
-        mix = (
-            cloud_mix_by_name(workload) if isinstance(workload, str) else workload
-        )
-        key = (mix.name, policy.upper(), seed)
-        hit = self._cloud_runs.get(key)
-        if hit is not None:
-            return hit
-        cell_key = None
-        if self.cache is not None:
-            cell_key = self._cloud_key(mix.name, policy, seed)
-            cached = self.cache.get(cell_key)
-            if cached is not None:
-                self._cloud_runs[key] = cached
-                return cached
-        me = None
-        if policy.upper() in ("ME", "ME-LREQ"):
-            me = self.batch_me(mix.batch_apps(), seed)
-        result = run_cloud(
-            mix,
-            policy,
-            inst_budget=self.inst_budget,
-            seed=seed,
-            warmup_insts=self.warmup_insts,
-            config=self.config,
-            lookahead=self.lookahead,
-            me_values=me,
-        )
-        if cell_key is not None:
-            self.cache.put(cell_key, result)
-        self._cloud_runs[key] = result
-        return result
-
-    # -- memo preloading (parallel runner) ------------------------------------------
-
-    def preload_run(self, mix_name: str, policy: str, seed: int,
-                    result: RunResult) -> None:
-        """Install one evaluation result (must match what :meth:`run`
-        would compute — the parallel runner keys cells on every
-        determinant to guarantee it)."""
-        self._runs.setdefault((mix_name, policy.upper(), seed), result)
-
-    def preload_custom(self, cell_key: CellKey, result: RunResult) -> None:
-        """Install one ablation result under its full cell key."""
-        self._custom_runs.setdefault(cell_key, result)
-
-    def preload_cloud(self, mix_name: str, policy: str, seed: int,
-                      result) -> None:
-        """Install one cloud co-run result (parallel runner merge)."""
-        self._cloud_runs.setdefault((mix_name, policy.upper(), seed), result)
+        return self.result(self.cloud_cell(workload, policy, seed))
 
     def outcome(self, workload: str | Mix, policy: str) -> PolicyOutcome:
         """Seed-averaged metrics for one (workload, policy) cell."""

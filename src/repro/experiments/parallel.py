@@ -1,4 +1,4 @@
-"""Parallel sharded experiment runner with a bit-identical merge.
+"""Cell scheduling: plan, execute over a process pool, merge bit-identically.
 
 A full regeneration of the paper's figures is embarrassingly parallel:
 every simulation cell is a pure function of ``(config, workload, policy,
@@ -6,11 +6,13 @@ seed)``.  This module
 
 1. **plans** the exact cell set behind the figure/table harnesses
    (:func:`plan_cells` — eval cells plus the profile / single-core cells
-   their outcomes need),
-2. **shards** the cells across ``jobs`` worker processes
-   (:func:`run_cells` — with an on-disk :class:`ResultCache`
-   read-through, one retry per crashed cell, and a broken-pool fallback
-   that finishes the round serially instead of hanging), and
+   their outcomes need, built by the context's own cell builders),
+2. **schedules** the cells on a :class:`TaskBoard` — the one scheduler
+   shared with the sweep coordinator (:mod:`repro.service.coordinator`)
+   — and executes them over ``jobs`` worker processes
+   (:func:`run_cells` — with an on-disk :class:`ResultCache` probe, one
+   retry per crashed cell, and a broken-pool fallback that finishes the
+   board serially instead of hanging), and
 3. **merges** the results into an :class:`ExperimentContext`
    (:func:`merge_into` — insertion in canonical cell-key order, never
    completion order).
@@ -20,44 +22,37 @@ unchanged and finds every simulation memoised, so the emitted tables are
 *bit-identical* to a serial run by construction: the same code computes
 every derived number from the same per-cell results.
 
-Scheduling runs in two rounds — single-core cells (profiles and
-speedup baselines) first, then multi-core cells — because ME-family
-policies consume the profiled ME vector; the scheduler resolves those
-values from round one and ships them with the cell, so workers never
-re-profile.
+ME-family cells consume the profiled ME vector: the board holds them
+back until the profile cells they depend on settle, then resolves the
+vector and ships it with the cell, so workers never re-profile.  A
+profile cell that fails for good does not block its dependents — they
+ship unresolved and profile in-process (deterministic, hence still
+bit-identical).
 
 Progress: pass a :class:`~repro.telemetry.bus.TelemetryBus` and every
 cell completion emits an ``experiment.cell`` instant event (key, status
-``hit``/``run``/``retried``, seconds); a final ``experiment.cache``
-event carries the hit/miss statistics.
+``hit``/``run``/``retried``/``failed``, seconds); a final
+``experiment.cache`` event carries the hit/miss statistics.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import Counter
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.experiments.cache import CacheStats, ResultCache
-from repro.experiments.cells import (
-    ME_FAMILY,
-    Cell,
-    CellKey,
-    cloud_cell_key,
-    custom_cell_key,
-    eval_cell_key,
-    execute_cell,
-    profile_cell_key,
-    single_cell_key,
-)
+from repro.experiments.cells import ME_FAMILY, Cell, CellKey, execute_cell
 from repro.telemetry.bus import TelemetryBus
 from repro.workloads.mixes import workload_by_name
 from repro.workloads.spec2000 import APPS
 
-__all__ = ["CellFailure", "ParallelReport", "plan_cells", "run_cells",
-           "merge_into", "default_jobs"]
+__all__ = ["CellFailure", "ParallelReport", "TaskBoard", "TaskState",
+           "plan_cells", "run_cells", "merge_into", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -67,7 +62,7 @@ def default_jobs() -> int:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """One cell that failed after its retry (or lost a dependency)."""
+    """One cell that failed after its retry."""
 
     key_str: str
     error: str
@@ -111,72 +106,174 @@ class ParallelReport:
         return "\n".join(lines)
 
 
+# -- the task board ----------------------------------------------------------------
+#
+# Lifecycle of one cell::
+#
+#     pending --lease()--> leased --mark_done()-----------------> done
+#        ^                   |
+#        |                   +-- release() / expire() / release_worker()
+#        +---- attempts < max_attempts ----+      (requeued for another worker)
+#                                          |
+#                       attempts >= max_attempts --> failed
+#
+# * Leases: a dispatched cell is leased to one worker until a deadline; a
+#   heartbeat extends every lease the worker holds.  The coordinator
+#   releases a disconnected worker's leases at once and a hung worker's at
+#   the deadline (expire); run_cells never expires a lease.
+# * Retry budget: ``attempts`` counts leases.  A failed attempt requeues
+#   the cell until it has been leased ``max_attempts`` times; then it is
+#   ``failed`` for good.
+# * Dependencies: an ME-family cell without a resolved ME vector is not
+#   ready while a profile cell it depends on is pending or leased.  A
+#   dependency absent from the board or permanently failed does not block:
+#   the cell ships with ``me_values=None`` and profiles in-process.
+
+
+def _order(key: CellKey) -> tuple[bool, str]:
+    """Scheduling order: single-core cells (profile, single) first, then
+    multi-core cells, each in canonical key order — so ``--jobs 1`` runs a
+    mix's cells back to back while the trace replay cache holds its
+    streams."""
+    return key.kind not in ("profile", "single"), key.key_str()
+
+
+@dataclass
+class TaskState:
+    """One cell's scheduling state on the board."""
+
+    cell: Cell
+    digest: str
+    status: str = "pending"  # pending | leased | done | failed
+    attempts: int = 0  # number of leases handed out so far
+    worker: str | None = None
+    task_id: int = 0
+    lease_deadline: float = 0.0
+    error: str = ""
+
+
+class TaskBoard:
+    """Dedup, readiness, lease and retry bookkeeping for a cell set.
+
+    Pure: no sockets, no clocks of its own, so every rule is unit
+    testable with explicit timestamps.  Results are deterministic pure
+    functions of the cell, so the board takes the first valid payload
+    for a cell and ignores late ones.
+    """
+
+    def __init__(self, max_attempts: int = 3) -> None:
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        self.max_attempts = max_attempts
+        self.tasks: dict[str, TaskState] = {}
+        #: payloads of finished cells (profile payloads feed the ME
+        #: resolution of dependent cells)
+        self.done: dict[str, object] = {}
+
+    def add(self, cell: Cell) -> TaskState:
+        """Register a cell (idempotent across jobs — same digest, same
+        task), returning its state."""
+        digest = cell.key.digest()
+        state = self.tasks.get(digest)
+        if state is None:
+            state = TaskState(cell=cell, digest=digest)
+            self.tasks[digest] = state
+        return state
+
+    def _blocked(self, state: TaskState) -> bool:
+        cell = state.cell
+        if cell.me_values is not None or cell.key.policy not in ME_FAMILY:
+            return False
+        for dep_key in cell.me_deps:
+            dep = self.tasks.get(dep_key.digest())
+            if dep is not None and dep.status in ("pending", "leased"):
+                return True
+        return False
+
+    def ready(self) -> list[TaskState]:
+        """Pending tasks whose dependencies are settled: single-core cells
+        first, then multi-core cells, each in canonical key order."""
+        out = [s for s in self.tasks.values()
+               if s.status == "pending" and not self._blocked(s)]
+        out.sort(key=lambda s: _order(s.cell.key))
+        return out
+
+    def resolve(self, state: TaskState) -> Cell:
+        """The cell to ship: ME vector filled in from finished profiles,
+        or the unresolved cell when a dependency is missing or failed."""
+        cell = state.cell
+        if cell.me_values is not None or cell.key.policy not in ME_FAMILY:
+            return cell
+        values: list[float] = []
+        for dep_key in cell.me_deps:
+            payload = self.done.get(dep_key.digest())
+            if payload is None:
+                return cell
+            values.append(payload.me)
+        return cell.with_me_values(tuple(values))
+
+    def lease(self, state: TaskState, worker: str, now: float,
+              duration: float, task_id: int) -> None:
+        state.status = "leased"
+        state.worker = worker
+        state.task_id = task_id
+        state.attempts += 1
+        state.lease_deadline = now + duration
+
+    def mark_done(self, digest: str, payload: object) -> None:
+        state = self.tasks[digest]
+        state.status = "done"
+        state.worker = None
+        state.error = ""
+        self.done[digest] = payload
+
+    def release(self, state: TaskState, error: str) -> str:
+        """One attempt failed; requeue or exhaust.  Returns new status."""
+        state.worker = None
+        state.error = error
+        state.status = ("failed" if state.attempts >= self.max_attempts
+                        else "pending")
+        return state.status
+
+    def extend_leases(self, worker: str, now: float, duration: float) -> int:
+        """Heartbeat: push every lease deadline of ``worker`` out."""
+        n = 0
+        for state in self.tasks.values():
+            if state.status == "leased" and state.worker == worker:
+                state.lease_deadline = now + duration
+                n += 1
+        return n
+
+    def expire(self, now: float) -> list[TaskState]:
+        """Release every lease whose deadline has passed."""
+        out = []
+        for state in self.tasks.values():
+            if state.status == "leased" and state.lease_deadline < now:
+                self.release(state, f"lease expired on {state.worker!r}")
+                out.append(state)
+        return out
+
+    def release_worker(self, worker: str) -> list[TaskState]:
+        """A worker disconnected: release everything it held."""
+        out = []
+        for state in self.tasks.values():
+            if state.status == "leased" and state.worker == worker:
+                self.release(state, f"worker {worker!r} disconnected")
+                out.append(state)
+        return out
+
+    def counts(self) -> dict[str, int]:
+        c = Counter(s.status for s in self.tasks.values())
+        return {k: c.get(k, 0) for k in ("pending", "leased", "done",
+                                         "failed")}
+
+    def settled(self, digest: str) -> bool:
+        """Done or permanently failed (nothing more will happen)."""
+        state = self.tasks.get(digest)
+        return state is not None and state.status in ("done", "failed")
+
+
 # -- planning --------------------------------------------------------------------
-
-
-def _profile_cell(ctx, code: str, seed: int) -> Cell:
-    return Cell(key=profile_cell_key(code, seed, ctx.profile_budget,
-                                     ctx.config),
-                config=ctx.config)
-
-
-def _single_cell(ctx, code: str, seed: int) -> Cell:
-    return Cell(key=single_cell_key(code, seed, ctx.profile_budget,
-                                    ctx.config),
-                config=ctx.config)
-
-
-def _eval_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
-    mix = workload_by_name(mix_name)
-    key = eval_cell_key(mix.name, policy, seed, ctx.inst_budget,
-                        ctx.warmup_insts, ctx.lookahead, ctx.config,
-                        ctx.profile_budget)
-    deps = ()
-    if key.policy in ME_FAMILY:
-        deps = tuple(
-            profile_cell_key(code, seed, ctx.profile_budget, ctx.config)
-            for code in mix.codes
-        )
-    return Cell(key=key, config=ctx.config, me_deps=deps)
-
-
-def _cloud_cell(ctx, mix_name: str, policy: str, seed: int) -> Cell:
-    from repro.workloads.cloud import cloud_mix_by_name
-
-    mix = cloud_mix_by_name(mix_name)
-    key = cloud_cell_key(mix.name, policy, seed, ctx.inst_budget,
-                         ctx.warmup_insts, ctx.lookahead, ctx.config,
-                         ctx.profile_budget)
-    deps = ()
-    if key.policy in ME_FAMILY:
-        # Batch cores only: service cores carry pinned ME ranks.
-        deps = tuple(
-            profile_cell_key(app.code, seed, ctx.profile_budget, ctx.config)
-            for app in mix.batch_apps()
-        )
-    return Cell(key=key, config=ctx.config, me_deps=deps)
-
-
-def _custom_cell(ctx, spec) -> Cell:
-    """Build the cell for one ablation spec (see ``ablation_cell_specs``)."""
-    mix = workload_by_name(spec.workload)
-    config = spec.config if spec.config is not None else ctx.config
-    lookahead = spec.lookahead if spec.lookahead is not None else ctx.lookahead
-    key = custom_cell_key(
-        mix.name, spec.policy, spec.policy_args, spec.seed,
-        ctx.inst_budget, ctx.warmup_insts, lookahead, config,
-        ctx.profile_budget,
-        me_config=ctx.config if config is not ctx.config else None,
-    )
-    deps = ()
-    if key.policy in ME_FAMILY:
-        # ME profiles always come from the context's baseline machine.
-        deps = tuple(
-            profile_cell_key(code, spec.seed, ctx.profile_budget, ctx.config)
-            for code in mix.codes
-        )
-    return Cell(key=key, config=config, me_deps=deps,
-                policy_ctor_args=tuple(spec.policy_args))
 
 
 def plan_cells(
@@ -194,7 +291,8 @@ def plan_cells(
     """Enumerate every cell the requested sections will consume.
 
     Mirrors the figure harnesses exactly (each module exports its own
-    ``*_cells`` enumerator); deduplicates across sections the same way
+    ``*_cells`` enumerator, and the context's cell builders are the ones
+    its harness methods use); deduplicates across sections the same way
     the context memo would.  ``arena`` is ``(mix_names, policies)`` with
     ``policies=None`` meaning the full registry — matching
     :func:`repro.experiments.arena.run_arena`; ``cloud`` has the same
@@ -210,24 +308,25 @@ def plan_cells(
 
     cells: dict[CellKey, Cell] = {}
 
-    def add(cell: Cell) -> None:
+    def add(cell: Cell, seed: int, baseline_codes) -> None:
+        """The cell, its ME profiles and the single-core baselines its
+        section's speedups divide by."""
         cells.setdefault(cell.key, cell)
+        for dep in cell.me_deps:
+            cells.setdefault(dep, ctx.profile_cell(dep.workload, dep.seed))
+        for code in sorted(set(baseline_codes)):
+            single = ctx.single_cell(code, seed)
+            cells.setdefault(single.key, single)
 
     def add_pairs(pairs) -> None:
         for mix_name, policy in pairs:
-            mix = workload_by_name(mix_name)
+            codes = workload_by_name(mix_name).codes
             for seed in ctx.seeds:
-                cell = _eval_cell(ctx, mix_name, policy, seed)
-                add(cell)
-                for dep in cell.me_deps:
-                    add(Cell(key=dep, config=ctx.config))
-                # outcome() always needs the single-core baselines
-                for code in sorted(set(mix.codes)):
-                    add(_single_cell(ctx, code, seed))
+                add(ctx.eval_cell(mix_name, policy, seed), seed, codes)
 
     if table2:
         for app in APPS:
-            add(_profile_cell(ctx, app.code, ctx.seeds[0]))
+            add(ctx.profile_cell(app.code, ctx.seeds[0]), ctx.seeds[0], ())
     if figure2 is not None:
         core_counts, groups = figure2
         add_pairs(figure2_cells(core_counts=core_counts, groups=groups))
@@ -246,24 +345,17 @@ def plan_cells(
 
         mix_names, policies = cloud
         for mix_name, policy in cloud_cells(mix_names, policies):
-            mix = cloud_mix_by_name(mix_name)
+            codes = [a.code for a in cloud_mix_by_name(mix_name).batch_apps()]
             for seed in ctx.seeds:
-                cell = _cloud_cell(ctx, mix_name, policy, seed)
-                add(cell)
-                for dep in cell.me_deps:
-                    add(Cell(key=dep, config=ctx.config))
-                # the table's batch-speedup column needs the baselines
-                for app in mix.batch_apps():
-                    add(_single_cell(ctx, app.code, seed))
+                add(ctx.cloud_cell(mix_name, policy, seed), seed, codes)
     if ablations:
         for spec in ablation_cell_specs(ctx):
-            cell = _custom_cell(ctx, spec)
-            add(cell)
-            for dep in cell.me_deps:
-                add(Cell(key=dep, config=ctx.config))
-            mix = workload_by_name(spec.workload)
-            for code in sorted(set(mix.codes)):
-                add(_single_cell(ctx, code, spec.seed))
+            cell = ctx.custom_cell(
+                spec.workload, spec.policy, spec.seed,
+                policy_args=spec.policy_args, config=spec.config,
+                lookahead=spec.lookahead,
+            )
+            add(cell, spec.seed, workload_by_name(spec.workload).codes)
     return sorted(cells.values(), key=lambda c: c.key.key_str())
 
 
@@ -274,6 +366,21 @@ def _timed_execute(cell: Cell, attempt: int):
     t0 = time.perf_counter()
     payload = execute_cell(cell, attempt)
     return payload, time.perf_counter() - t0
+
+
+class _InlinePool:
+    """Executor stand-in that runs each submission at once, in-parent."""
+
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 class _Progress:
@@ -294,94 +401,6 @@ class _Progress:
             )
 
 
-def _run_round_serial(cells, progress, failures, retried, results,
-                      attempt0: int = 0):
-    """Execute cells in-parent, in key order, with one retry each."""
-    executed = 0
-    for cell in cells:
-        try:
-            payload, dt = _timed_execute(cell, attempt0)
-            status = "retried" if attempt0 > 0 else "run"
-        except Exception:
-            try:
-                payload, dt = _timed_execute(cell, 1)
-                status = "retried"
-            except Exception as exc:
-                failures.append(CellFailure(cell.key.key_str(), repr(exc), 2))
-                progress.emit(cell.key, "failed", 0.0)
-                continue
-        if status == "retried":
-            retried.append(cell.key.key_str())
-        results[cell.key] = payload
-        executed += 1
-        progress.emit(cell.key, status, dt)
-    return executed
-
-
-def _run_round_pool(cells, jobs, progress, failures, retried, results):
-    """Execute one round on a process pool; returns (executed, broken).
-
-    Worker exceptions are collected and the cell retried once in the
-    parent; a broken pool (hard worker crash) aborts the pool and the
-    unfinished cells run serially — a clear report, never a hung pool.
-    """
-    executed = 0
-    broken = False
-    pending_retry: list[Cell] = []
-    unfinished: list[Cell] = list(cells)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)))
-    try:
-        futures = {pool.submit(_timed_execute, c, 0): c for c in cells}
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for fut in done:
-                cell = futures[fut]
-                try:
-                    payload, dt = fut.result()
-                except BrokenProcessPool:
-                    raise
-                except Exception:
-                    pending_retry.append(cell)
-                    continue
-                results[cell.key] = payload
-                unfinished.remove(cell)
-                executed += 1
-                progress.emit(cell.key, "run", dt)
-        pool.shutdown(wait=True)
-    except BrokenProcessPool:
-        pool.shutdown(wait=False, cancel_futures=True)
-        broken = True
-        # Everything not yet merged (including would-be retries) runs
-        # serially in the parent; that is their one retry.
-        leftovers = [c for c in unfinished if c not in pending_retry]
-        executed += _run_round_serial(
-            pending_retry + leftovers, progress, failures, retried, results,
-            attempt0=1,
-        )
-        return executed, broken
-    except (KeyboardInterrupt, SystemExit):
-        # Ctrl-C: release the pool without waiting for in-flight cells
-        # (the workers share our process group and die on the same
-        # SIGINT) and let the caller flush its partial report — never a
-        # hung pool, never a traceback dump from inside the executor.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-
-    for cell in pending_retry:
-        try:
-            payload, dt = _timed_execute(cell, 1)
-        except Exception as exc:
-            failures.append(CellFailure(cell.key.key_str(), repr(exc), 2))
-            progress.emit(cell.key, "failed", 0.0)
-            continue
-        results[cell.key] = payload
-        retried.append(cell.key.key_str())
-        executed += 1
-        progress.emit(cell.key, "retried", dt)
-    return executed, broken
-
-
 def run_cells(
     cells,
     *,
@@ -389,12 +408,15 @@ def run_cells(
     cache: ResultCache | None = None,
     bus: TelemetryBus | None = None,
 ) -> ParallelReport:
-    """Execute every cell, fanning out over ``jobs`` worker processes.
+    """Execute every cell, keeping at most ``jobs`` worker processes busy.
 
-    Deterministic by construction: the returned ``results`` mapping is
-    ordered by canonical cell key regardless of completion order, cache
-    hits return bit-exact payloads, and ME vectors are resolved from the
-    profile round so workers reproduce the serial numbers exactly.
+    Every cell goes on a :class:`TaskBoard` with one retry
+    (``max_attempts=2``) and is probed once against ``cache``; the board's
+    ready cells are then leased in its order.  Deterministic by
+    construction: the returned ``results`` mapping is ordered by
+    canonical cell key regardless of completion order, cache hits return
+    bit-exact payloads, and ME vectors are resolved from the profile
+    cells so workers reproduce the serial numbers exactly.
     """
     from repro.telemetry.fleet import ENV_RUN_ID, new_run_id
 
@@ -402,7 +424,6 @@ def run_cells(
     unique: dict[CellKey, Cell] = {}
     for cell in cells:
         unique.setdefault(cell.key, cell)
-    ordered = sorted(unique.values(), key=lambda c: c.key.key_str())
 
     report = ParallelReport()
     # Correlation id for this sweep: pool children inherit the parent's
@@ -414,65 +435,83 @@ def run_cells(
     report.run_id = inherited or new_run_id()
     if inherited is None:
         os.environ[ENV_RUN_ID] = report.run_id
-    results: dict[CellKey, object] = {}
-    progress = _Progress(bus, total=len(ordered))
+    progress = _Progress(bus, total=len(unique))
 
-    rounds = (
-        [c for c in ordered if c.key.kind in ("profile", "single")],
-        [c for c in ordered if c.key.kind in ("eval", "custom", "cloud")],
-    )
+    board = TaskBoard(max_attempts=2)
+    for cell in sorted(unique.values(), key=lambda c: _order(c.key)):
+        state = board.add(cell)
+        hit = cache.get(cell.key) if cache is not None else None
+        if hit is not None:
+            board.mark_done(state.digest, hit)
+            report.cache_hits += 1
+            progress.emit(cell.key, "hit", 0.0)
+
+    pending = board.counts()["pending"]
+    slots = min(jobs, pending) if jobs > 1 and pending > 1 else 1
+    pool = ProcessPoolExecutor(max_workers=slots) if slots > 1 else _InlinePool()
+    in_flight: dict[Future, TaskState] = {}
+
+    def fail(state: TaskState, error: str) -> None:
+        if board.release(state, error) == "failed":
+            progress.emit(state.cell.key, "failed", 0.0)
+
     try:
-        for round_cells in rounds:
-            todo: list[Cell] = []
-            for cell in round_cells:
-                hit = cache.get(cell.key) if cache is not None else None
-                if hit is not None:
-                    results[cell.key] = hit
-                    report.cache_hits += 1
-                    progress.emit(cell.key, "hit", 0.0)
-                else:
-                    todo.append(cell)
-
-            ready: list[Cell] = []
-            for cell in todo:
-                if cell.key.policy in ME_FAMILY and cell.me_values is None:
-                    try:
-                        me = tuple(results[dep].me for dep in cell.me_deps)
-                    except KeyError:
-                        report.failures.append(CellFailure(
-                            cell.key.key_str(),
-                            "dependency failed: missing ME profile", 0,
-                        ))
-                        progress.emit(cell.key, "failed", 0.0)
+        while True:
+            try:
+                for state in board.ready()[: slots - len(in_flight)]:
+                    fut = pool.submit(_timed_execute, board.resolve(state),
+                                      state.attempts)
+                    board.lease(state, "local", now=0.0, duration=0.0,
+                                task_id=0)
+                    in_flight[fut] = state
+                if not in_flight:
+                    break
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    exc = fut.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        raise exc
+                    state = in_flight.pop(fut)
+                    if exc is not None:
+                        fail(state, repr(exc))
                         continue
-                    cell = cell.with_me_values(me)
-                ready.append(cell)
-
-            before = dict(results)
-            if not ready:
-                pass
-            elif jobs <= 1 or len(ready) == 1:
-                report.executed += _run_round_serial(
-                    ready, progress, report.failures, report.retried, results
-                )
-            else:
-                executed, broken = _run_round_pool(
-                    ready, jobs, progress, report.failures, report.retried,
-                    results,
-                )
-                report.executed += executed
-                report.pool_broken = report.pool_broken or broken
-            if cache is not None:
-                for cell in ready:
-                    if cell.key not in before and cell.key in results:
-                        cache.put(cell.key, results[cell.key])
+                    payload, dt = fut.result()
+                    board.mark_done(state.digest, payload)
+                    report.executed += 1
+                    if cache is not None:
+                        cache.put(state.cell.key, payload)
+                    progress.emit(state.cell.key,
+                                  "retried" if state.attempts > 1 else "run",
+                                  dt)
+            except BrokenProcessPool:
+                # A worker died hard: release its in-flight leases (that
+                # was their attempt) and finish the board in-parent — a
+                # clear report, never a hung pool.
+                pool.shutdown(wait=False, cancel_futures=True)
+                for state in in_flight.values():
+                    fail(state, "worker process died (pool broken)")
+                in_flight.clear()
+                pool, slots = _InlinePool(), 1
+                report.pool_broken = True
+        pool.shutdown(wait=True)
+    except (KeyboardInterrupt, SystemExit):
+        # Ctrl-C: release the pool without waiting for in-flight cells
+        # (the workers share our process group and die on the same
+        # SIGINT) and let the caller flush its partial report — never a
+        # hung pool, never a traceback dump from inside the executor.
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
     finally:
         if inherited is None:
             os.environ.pop(ENV_RUN_ID, None)
 
-    report.results = dict(
-        sorted(results.items(), key=lambda kv: kv[0].key_str())
-    )
+    states = sorted(board.tasks.values(), key=lambda s: s.cell.key.key_str())
+    report.results = {s.cell.key: board.done[s.digest]
+                      for s in states if s.status == "done"}
+    report.retried = [s.cell.key.key_str() for s in states
+                      if s.status == "done" and s.attempts > 1]
+    report.failures = [CellFailure(s.cell.key.key_str(), s.error, s.attempts)
+                       for s in states if s.status == "failed"]
     report.seconds = time.perf_counter() - t0
     if cache is not None:
         report.cache_stats = cache.stats
@@ -486,66 +525,15 @@ def run_cells(
 
 
 def merge_into(ctx, report: ParallelReport) -> int:
-    """Install cell results into a context's memo layers.
+    """Install a report's results into the context's cell memo.
 
     Iterates in canonical key order (already how ``report.results`` is
     ordered) — merge order is a function of the cell set, never of
-    completion timing.  Returns the number of entries installed.
-    Cells whose budgets/config do not match the context are rejected:
-    a memo must never hold a result the context would not itself compute.
+    completion timing.  The memo is keyed on the full :class:`CellKey`,
+    so a context only ever looks up a result computed under exactly its
+    own determinants; entries it never asks for are inert.  Returns the
+    number of entries offered.
     """
-    installed = 0
-    cfg_digest = ctx.config.digest()
-    single_digest = ctx.config.with_cores(1).digest()
     for key, payload in report.results.items():
-        if key.kind in ("profile", "single"):
-            if (key.inst_budget != ctx.profile_budget
-                    or key.config_digest != single_digest):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context "
-                    f"(profile_budget={ctx.profile_budget})"
-                )
-            prof = ctx.profiler(key.seed)
-            if key.kind == "profile":
-                prof.preload_profile(payload)
-            else:
-                prof.preload_single(key.workload, payload)
-        elif key.kind == "eval":
-            if (key.inst_budget != ctx.inst_budget
-                    or key.warmup != ctx.warmup_insts
-                    or key.lookahead != ctx.lookahead
-                    or key.config_digest != cfg_digest
-                    or (key.policy in ME_FAMILY
-                        and key.profile_budget != ctx.profile_budget)):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context"
-                )
-            ctx.preload_run(key.workload, key.policy, key.seed, payload)
-        elif key.kind == "custom":
-            if (key.inst_budget != ctx.inst_budget
-                    or key.warmup != ctx.warmup_insts
-                    or (key.policy in ME_FAMILY
-                        and key.profile_budget != ctx.profile_budget)):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context"
-                )
-            ctx.preload_custom(key, payload)
-        elif key.kind == "cloud":
-            from repro.workloads.cloud import cloud_mix_by_name, cloud_system_config
-
-            mix = cloud_mix_by_name(key.workload)
-            expected = cloud_system_config(ctx.config, mix.num_cores).digest()
-            if (key.inst_budget != ctx.inst_budget
-                    or key.warmup != ctx.warmup_insts
-                    or key.lookahead != ctx.lookahead
-                    or key.config_digest != expected
-                    or (key.policy in ME_FAMILY
-                        and key.profile_budget != ctx.profile_budget)):
-                raise ValueError(
-                    f"cell {key.key_str()} does not match context"
-                )
-            ctx.preload_cloud(key.workload, key.policy, key.seed, payload)
-        else:
-            raise ValueError(f"unknown cell kind {key.kind!r}")
-        installed += 1
-    return installed
+        ctx._results.setdefault(key, payload)
+    return len(report.results)

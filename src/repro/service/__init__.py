@@ -15,8 +15,10 @@ This package promotes that contract from one process pool to a fleet:
 * :mod:`repro.service.store` — the shared content-addressed result
   store (same keys/layout as ``.repro-cache/``);
 * :mod:`repro.service.protocol` — the newline-delimited JSON wire
-  format;
-* :mod:`repro.service.leases` — the pure lease/retry bookkeeping.
+  format.
+
+The lease/retry bookkeeping is the local runner's own
+:class:`~repro.experiments.parallel.TaskBoard`.
 
 CLI: ``repro serve`` / ``repro worker`` / ``repro submit``.
 Docs: docs/DISTRIBUTED.md (protocol, semantics, security posture).
@@ -28,8 +30,8 @@ from repro.service.client import (
     submit_cells,
     submit_cells_async,
 )
+from repro.experiments.parallel import TaskBoard, TaskState
 from repro.service.coordinator import Coordinator
-from repro.service.leases import TaskBoard, TaskState
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,

@@ -51,7 +51,7 @@ import time
 
 from repro.experiments.cache import payload_sha
 from repro.experiments.cells import CellKey
-from repro.service.leases import TaskBoard, TaskState
+from repro.experiments.parallel import TaskBoard, TaskState
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,

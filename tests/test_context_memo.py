@@ -15,6 +15,8 @@ from repro.config import SystemConfig
 from repro.experiments.cache import ResultCache
 from repro.experiments.cells import CellKey, eval_cell_key
 from repro.experiments.harness import ExperimentContext
+from repro.experiments.table2 import run_table2
+from repro.workloads.spec2000 import APPS
 
 BUDGET = 300
 WARMUP = 200
@@ -112,3 +114,20 @@ def test_cellkey_digest_sensitive_to_every_field():
         d = dataclasses.replace(base, **change).digest()
         assert d not in seen, change
         seen.add(d)
+
+
+def test_table2_reads_through_the_disk_cache(tmp_path, monkeypatch):
+    """Table 2's profile cells are written to, then served from, the
+    cache of a library context like every other harness's cells."""
+    first = _ctx(tmp_path)
+    rows = run_table2(first)
+    assert first.cache.stats.writes == len(APPS)
+
+    def no_simulation(cell, attempt=0):
+        raise AssertionError(f"simulated {cell.key.key_str()}")
+
+    monkeypatch.setattr("repro.experiments.harness.execute_cell",
+                        no_simulation)
+    second = _ctx(tmp_path)
+    assert run_table2(second) == rows
+    assert second.cache.stats.hits == len(APPS) == 26

@@ -42,8 +42,8 @@ class TestHarness:
         assert a is b  # cached object
 
     def test_profiler_caching(self, ctx):
-        p1 = ctx.profiler(7)
-        p2 = ctx.profiler(7)
+        p1 = ctx.result(ctx.profile_cell("b", 7))
+        p2 = ctx.result(ctx.profile_cell("b", 7))
         assert p1 is p2
         mix = workload_by_name("2MEM-1")
         assert ctx.me_values(mix, 7) == ctx.me_values(mix, 7)

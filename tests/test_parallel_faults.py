@@ -104,6 +104,28 @@ def test_hard_worker_crash_falls_back_serially(monkeypatch, cells):
     assert report.results == baseline.results
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_profile_does_not_fail_its_me_dependents(monkeypatch, jobs):
+    """A profile cell that fails for good leaves its ME-LREQ dependents
+    ready: they profile in-process and match the fault-free results."""
+    cells = [c for c in plan_cells(_ctx(), figure2=((2,), ("MEM",)))
+             if c.key.workload in ("2MEM-1", "b", "c")
+             and c.key.policy in ("ME-LREQ", "")]
+    target = next(c for c in cells
+                  if c.key.kind == "profile" and c.key.workload == "b")
+    pattern = target.key.key_str()
+    baseline = run_cells(cells, jobs=1)
+
+    monkeypatch.setenv("REPRO_PARALLEL_FAULT", pattern)
+    monkeypatch.setenv("REPRO_PARALLEL_FAULT_ALWAYS", "1")
+    report = run_cells(cells, jobs=jobs)
+    assert [f.key_str for f in report.failures] == [pattern]
+    dependents = [c.key for c in cells if target.key in c.me_deps]
+    assert dependents
+    for key in dependents:
+        assert report.results[key] == baseline.results[key]
+
+
 def test_interrupted_run_resumes_only_missing_cells(tmp_path, cells):
     # "interrupt" after a prefix of the work: only some cells got cached
     done = cells[: len(cells) // 2]
