@@ -11,7 +11,8 @@ substrate:
 * dirty evictions  -> writeback requests (attributed to the line's owner
   core so bandwidth accounting stays per-application);
 * structural stalls -> a full MSHR file or controller buffer returns
-  :data:`BLOCKED`; the core registers with :meth:`wait_unblock` and retries.
+  :data:`BLOCKED`; the core parks the access with :meth:`wait_unblock`,
+  and the hierarchy calls it back, in park order, once it can go through.
 
 Instruction fetch is not simulated: the synthetic SPEC-like traces model
 data references only (SPEC CPU2000 instruction footprints fit comfortably
@@ -80,11 +81,13 @@ class CacheHierarchy:
         #: writebacks that could not enter a full controller buffer
         self._wb_overflow: deque[MemoryRequest] = deque()
         self._wb_flush_armed = False
-        #: one-shot callbacks of cores stalled on a structural hazard
-        self._unblock_waiters: list[Callable[[int], None]] = []
+        #: per-core MSHR capacity (every core's file has the same)
+        self._mshr_cap = config.core.data_mshrs
+        #: accesses parked on a structural stall, in park order: (their
+        #: core's MSHR entries, their L2 set, L2 tag, line, callback)
+        self._parked: list[tuple] = []
         #: whether a controller-space watch is currently armed (single
-        #: registration — re-arming per retry would accumulate stale
-        #: callbacks and make every buffer-slot release O(retries))
+        #: registration, so a buffer-slot release wakes the list once)
         self._space_watch_armed = False
         #: request-lifecycle span collector (wired by MultiCoreSystem
         #: when the telemetry hub captures spans; None otherwise)
@@ -122,23 +125,16 @@ class CacheHierarchy:
         Returns a non-negative hit latency, :data:`PENDING` (new memory
         request issued), :data:`MERGED` (joined an in-flight miss) — for
         both, ``waiter(line_addr, done_cycle)`` will fire — or
-        :data:`BLOCKED` (retry after :meth:`wait_unblock`).
+        :data:`BLOCKED` (park with :meth:`wait_unblock` and retry when
+        woken).  The core model inlines the L1-hit half of this itself
+        (see TraceCore._advance_fetch) and calls
+        :meth:`access_after_l1_miss` on a miss.
         """
-        self.demand_accesses[core_id] += 1
-        # The L1 and L2 lookups are inlined bodies of
-        # SetAssocCache.lookup — this is the hottest call chain in a
-        # simulation, and the two calls it saves per reference are
-        # measurable.  Keep in sync with cache.py.  The core model inlines
-        # this same L1 prefix itself (see TraceCore._fetch_mem_op) and
-        # jumps straight to :meth:`access_after_l1_miss`.
         l1 = self.l1d[core_id]
-        tag = addr >> l1._off_bits
-        s = l1._sets[tag & l1._set_mask]
-        if tag in s:
-            s[tag] = s.pop(tag) or is_write  # move-to-back refreshes recency
-            l1.stats.hits += 1
+        if l1.probe(addr):
+            l1.lookup(addr, is_write=is_write)
+            self.demand_accesses[core_id] += 1
             return self._l1_hit_latency
-        l1.stats.misses += 1
         return self.access_after_l1_miss(core_id, addr, is_write, now, waiter)
 
     def access_after_l1_miss(
@@ -151,45 +147,31 @@ class CacheHierarchy:
     ) -> int:
         """Continuation of :meth:`access` once the L1 has missed.
 
-        The caller must already have charged the reference to
-        ``demand_accesses`` and the L1 stats — this entry point exists so
-        the core model can run the (overwhelmingly common) L1-hit path
-        without any call into the hierarchy.
+        A reference that goes through is charged here once, by its actual
+        result: one demand access, one L1 miss and one L2 hit or miss.  A
+        BLOCKED attempt charges nothing — the core counts it as a
+        structural stall and parks it with :meth:`wait_unblock`.
         """
         line = addr & self._line_mask
         l2 = self.l2
         tag = line >> l2._off_bits
         s = l2._sets[tag & l2._set_mask]
         if tag in s:
-            s[tag] = s.pop(tag)
+            s[tag] = s.pop(tag)  # move-to-back refreshes recency
             l2.stats.hits += 1
             if self.prefetcher is not None and line in self._prefetched_lines:
                 self._prefetched_lines.discard(line)
                 self.prefetcher.mark_useful()
-            # -- L1 install (inlined _fill_l1; keep in sync) --
-            l1 = self.l1d[core_id]
-            t1 = line >> l1._off_bits
-            s1 = l1._sets[t1 & l1._set_mask]
-            if t1 in s1:
-                s1[t1] = s1.pop(t1) or is_write
-            else:
-                v_dirty = False
-                if len(s1) >= l1._assoc:
-                    v_tag = next(iter(s1))  # front of dict == LRU
-                    v_dirty = s1.pop(v_tag)
-                    l1.stats.evictions += 1
-                    if v_dirty:
-                        l1.stats.dirty_evictions += 1
-                s1[t1] = is_write
-                l1.stats.fills += 1
-                if v_dirty:
-                    v_addr = v_tag << l1._off_bits
-                    if not l2.set_dirty(v_addr):
-                        self._emit_writeback(core_id, v_addr, now)
-            return self._l2_hit_latency
-        # L2 demand miss.
-        l2.stats.misses += 1
-        return self._after_l2_miss(core_id, line, is_write, now, waiter)
+            self._fill_l1(core_id, line, is_write, now)
+            result = self._l2_hit_latency
+        else:
+            result = self._after_l2_miss(core_id, line, is_write, now, waiter)
+            if result == BLOCKED:
+                return BLOCKED
+            l2.stats.misses += 1
+        self.demand_accesses[core_id] += 1
+        self.l1d[core_id].stats.misses += 1
+        return result
 
     def _after_l2_miss(
         self,
@@ -201,23 +183,18 @@ class CacheHierarchy:
     ) -> int:
         """Continuation once the L2 has missed (``line`` already aligned).
 
-        The caller has charged ``l2.stats.misses`` — the core model's
-        fetch loop enters here directly after its own inlined L2 probe.
-        The merge/full tests are the inlined guts of
-        MshrFile.outstanding/allocate/is_full (keep in sync with
-        mshr.py) — this path runs once per retry of every blocked
-        reference, not just once per miss.
+        The BLOCKED test here is the one :meth:`_wake` repeats for every
+        parked access; keep the two in step.
         """
         mshr = self.mshrs[core_id]
-        entries = mshr._entries
-        waiters = entries.get(line)
-        if waiters is not None:
-            # Merge onto the in-flight miss.
-            if waiter is not None:
-                waiters.append(waiter)
-            mshr.merges += 1
-            if mshr.on_merge is not None:
-                mshr.on_merge(line, now)
+        if not mshr.outstanding(line) and (
+            mshr.is_full
+            or self._l2_outstanding >= self.l2_mshr_cap
+            or not self.controller.can_accept()
+        ):
+            return BLOCKED
+        if not mshr.allocate(line, waiter, now):
+            # Merged onto the in-flight miss.
             if line in self._prefetch_inflight:
                 # demand caught up with an in-flight prefetch
                 self.prefetcher.mark_useful()
@@ -225,15 +202,6 @@ class CacheHierarchy:
             if is_write:
                 self._store_pending.add(line)
             return MERGED
-        if len(entries) >= mshr.capacity or self._l2_outstanding >= self.l2_mshr_cap:
-            return BLOCKED
-        if not self.controller.can_accept():
-            return BLOCKED
-        # -- new entry (inlined MshrFile.allocate; keep in sync) --
-        entries[line] = [waiter] if waiter is not None else []
-        mshr.allocations += 1
-        if len(entries) > mshr.peak_occupancy:
-            mshr.peak_occupancy = len(entries)
         self._l2_outstanding += 1
         self.l2_misses[core_id] += 1
         if is_write:
@@ -252,6 +220,79 @@ class CacheHierarchy:
         if self.prefetcher is not None:
             self._maybe_prefetch(core_id, line, now)
         return PENDING
+
+    # -- structural stalls -----------------------------------------------------
+
+    def wait_unblock(
+        self, core_id: int, addr: int, callback: Callable[[int], None]
+    ) -> None:
+        """Park ``core_id``'s BLOCKED access to ``addr``.
+
+        ``callback(now)`` fires once, from :meth:`_wake`, when the access
+        can go through (an L2 hit, a merge or a new miss); it never fires
+        while the access would still block.
+        """
+        line = addr & self._line_mask
+        l2 = self.l2
+        tag = line >> l2._off_bits
+        self._parked.append(
+            (
+                self.mshrs[core_id]._entries,
+                l2._sets[tag & l2._set_mask],
+                tag,
+                line,
+                callback,
+            )
+        )
+        # A full controller buffer resolves through controller space; arm
+        # that watch at most once at a time.
+        if not self._space_watch_armed:
+            self._space_watch_armed = True
+            self.controller.wait_for_space(self._on_space_freed)
+
+    def _on_space_freed(self, now: int) -> None:
+        self._space_watch_armed = False
+        if self._parked:
+            self._wake(now)
+
+    def _wake(self, now: int) -> None:
+        """Serve the parked accesses in park order after a resource freed.
+
+        Each access is re-tested against the BLOCKED conditions of
+        :meth:`_after_l2_miss` (its L1 cannot have gained the line while
+        its core was stalled, so only the L2 is probed).  One that can go
+        through leaves the list and gets its callback — its core retries
+        it at once.  One that still blocks keeps its place and re-arms the
+        controller-space watch.  The shared limits (L2 MSHRs, controller
+        buffer) only change when a woken core runs, so they are re-tested
+        after a callback and not per access: this loop stays call-free.
+        """
+        parked = self._parked
+        self._parked = keep = []
+        cap = self._mshr_cap
+        shared_full = (
+            self._l2_outstanding >= self.l2_mshr_cap
+            or not self.controller.can_accept()
+        )
+        for rec in parked:
+            entries, l2_set, tag, line, callback = rec
+            if (
+                tag not in l2_set
+                and line not in entries
+                and (shared_full or len(entries) >= cap)
+            ):
+                keep.append(rec)
+                if not self._space_watch_armed:
+                    self._space_watch_armed = True
+                    self.controller.wait_for_space(self._on_space_freed)
+            else:
+                # A core that blocks again re-parks through wait_unblock,
+                # i.e. into ``keep`` at this point of the walk.
+                callback(now)
+                shared_full = (
+                    self._l2_outstanding >= self.l2_mshr_cap
+                    or not self.controller.can_accept()
+                )
 
     # -- prefetching (extension) -------------------------------------------------
 
@@ -310,123 +351,37 @@ class CacheHierarchy:
         self.mshrs[core].complete(line, now)
         if self.spans is not None:
             self.spans.end_inflight(core, line)
-        self._on_resource_freed(now)
-
-    def wait_unblock(self, callback: Callable[[int], None]) -> None:
-        """One-shot registration: fire when any structural resource frees."""
-        self._unblock_waiters.append(callback)
-        # A full controller buffer also resolves through controller space;
-        # arm that watch at most once at a time.
-        if not self._space_watch_armed:
-            self._space_watch_armed = True
-            self.controller.wait_for_space(self._on_space_freed)
-
-    def _on_space_freed(self, now: int) -> None:
-        self._space_watch_armed = False
-        # Inlined _on_resource_freed: this fires once per freed buffer
-        # slot, the hottest wake fan-out after fills.
-        uw = self._unblock_waiters
-        if uw:
-            self._unblock_waiters = []
-            for cb in uw:
-                cb(now)
+        if self._parked:
+            self._wake(now)
 
     # -- fill / writeback paths --------------------------------------------------
 
     def _on_fill(self, req: MemoryRequest, now: int) -> None:
-        """Read data returned from DRAM: install the line, wake waiters.
-
-        The L2 install, L1 install and MSHR retirement are the inlined
-        bodies of SetAssocCache.fill / :meth:`_fill_l1` /
-        :meth:`MshrFile.complete` (keep in sync) — this runs once per
-        memory request and is the hottest completion path.
-        """
+        """Read data returned from DRAM: install the line, wake waiters."""
         line = req.addr
         core = req.core_id
         dirty = line in self._store_pending
         self._store_pending.discard(line)
-        l2 = self.l2
-        tag = line >> l2._off_bits
-        s = l2._sets[tag & l2._set_mask]
-        evicted = None
-        if tag in s:
-            s[tag] = s.pop(tag)  # refresh recency; fill is clean
-        else:
-            if len(s) >= l2._assoc:
-                victim_tag = next(iter(s))  # front of dict == LRU
-                victim_dirty = s.pop(victim_tag)
-                l2.stats.evictions += 1
-                if victim_dirty:
-                    l2.stats.dirty_evictions += 1
-                evicted = (victim_tag << l2._off_bits, victim_dirty)
-            s[tag] = False
-            l2.stats.fills += 1
+        evicted = self.l2.fill(line)
         self._owner[line] = core
         if evicted is not None:
             self._handle_l2_eviction(evicted, now)
-        # -- L1 install (inlined _fill_l1) --
-        l1 = self.l1d[core]
-        t1 = line >> l1._off_bits
-        s1 = l1._sets[t1 & l1._set_mask]
-        if t1 in s1:
-            s1[t1] = s1.pop(t1) or dirty
-        else:
-            v_dirty = False
-            if len(s1) >= l1._assoc:
-                v_tag = next(iter(s1))  # front of dict == LRU
-                v_dirty = s1.pop(v_tag)
-                l1.stats.evictions += 1
-                if v_dirty:
-                    l1.stats.dirty_evictions += 1
-            s1[t1] = dirty
-            l1.stats.fills += 1
-            if v_dirty:
-                v_addr = v_tag << l1._off_bits
-                if not l2.set_dirty(v_addr):
-                    self._emit_writeback(core, v_addr, now)
+        self._fill_l1(core, line, dirty, now)
         self._l2_outstanding -= 1
-        # -- MSHR retirement (inlined MshrFile.complete) --
-        mshr = self.mshrs[core]
-        waiters = mshr._entries.pop(line)
-        for w in waiters:
-            if type(w) is tuple:
-                w[0](w[1], now)
-            else:
-                w(line, now)
+        self.mshrs[core].complete(line, now)
         if self.spans is not None:
             self.spans.end_inflight(core, line)
-        uw = self._unblock_waiters
-        if uw:
-            self._unblock_waiters = []
-            for cb in uw:
-                cb(now)
+        if self._parked:
+            self._wake(now)
 
-    def _fill_l1(self, core_id: int, line: int, *, dirty: bool, now: int) -> None:
-        # Inlined body of SetAssocCache.fill (keep in sync with cache.py):
-        # one call per L2 hit and per fill, hot enough to flatten.
-        l1 = self.l1d[core_id]
-        tag = line >> l1._off_bits
-        s = l1._sets[tag & l1._set_mask]
-        if tag in s:
-            s[tag] = s.pop(tag) or dirty
-            return
-        v_dirty = False
-        v_tag = 0
-        if len(s) >= l1._assoc:
-            v_tag = next(iter(s))  # front of dict == LRU
-            v_dirty = s.pop(v_tag)
-            l1.stats.evictions += 1
-            if v_dirty:
-                l1.stats.dirty_evictions += 1
-        s[tag] = dirty
-        l1.stats.fills += 1
-        if not v_dirty:
-            return
-        # Dirty L1 victim: update the L2 copy; if L2 lost the line in the
-        # meantime (non-inclusive drift), write it back to memory directly.
-        v_addr = v_tag << l1._off_bits
-        if not self.l2.set_dirty(v_addr):
-            self._emit_writeback(core_id, v_addr, now)
+    def _fill_l1(self, core_id: int, line: int, dirty: bool, now: int) -> None:
+        evicted = self.l1d[core_id].fill(line, dirty=dirty)
+        if evicted is not None and evicted[1]:
+            # Dirty L1 victim: update the L2 copy; if L2 lost the line in
+            # the meantime (non-inclusive drift), write it back directly.
+            v_addr = evicted[0]
+            if not self.l2.set_dirty(v_addr):
+                self._emit_writeback(core_id, v_addr, now)
 
     def _handle_l2_eviction(self, evicted: tuple[int, bool], now: int) -> None:
         v_addr, v_dirty = evicted
@@ -464,13 +419,6 @@ class CacheHierarchy:
                 self._arm_wb_flush()
                 return
             self._wb_overflow.popleft()
-
-    def _on_resource_freed(self, now: int) -> None:
-        if not self._unblock_waiters:
-            return
-        waiters, self._unblock_waiters = self._unblock_waiters, []
-        for cb in waiters:
-            cb(now)
 
     # -- statistics ---------------------------------------------------------------
 

@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache.hierarchy import BLOCKED, MERGED, PENDING, CacheHierarchy
+from repro.cache.hierarchy import BLOCKED, PENDING, CacheHierarchy
 from repro.config import CoreConfig
 from repro.cpu.trace import MemOp, TraceSource
 
@@ -113,7 +113,7 @@ class TraceCore:
         self.core_id = core_id
         self.config = config
         self.trace = trace
-        #: bound trace feed — _fetch_mem_op pulls one op per memory
+        #: bound trace feed — _advance_fetch pulls one op per memory
         #: instruction and skips the method lookup chain
         self._next_op = trace.next_op
         self.hierarchy = hierarchy
@@ -130,35 +130,16 @@ class TraceCore:
         self._rob_size = config.rob_size
         self._l1_hit_latency = hierarchy.config.caches.l1d.hit_latency
         # This core's L1 internals, bound once for the inlined hit path in
-        # _fetch_mem_op.  The set list and geometry are stable for the
+        # _advance_fetch.  The set list and geometry are stable for the
         # cache's lifetime (clear() empties the sets in place); the stats
-        # object is re-read per access because clear() replaces it.
+        # object is re-read per call because clear() replaces it.
         l1 = hierarchy.l1d[core_id]
         self._l1 = l1
         self._l1_sets = l1._sets
         self._l1_off_bits = l1._off_bits
         self._l1_set_mask = l1._set_mask
         self._demand_accesses = hierarchy.demand_accesses
-        # Stable memory-path internals, bound once for the blocked-retry
-        # probe in _on_unblock (same lifetime argument as the L1 bindings
-        # above; the L2 set list is cleared in place, never replaced, and
-        # the MSHR/queue objects live as long as the system).
-        l2 = hierarchy.l2
-        self._line_mask = hierarchy._line_mask
-        self._l2_sets = l2._sets
-        self._l2_off_bits = l2._off_bits
-        self._l2_set_mask = l2._set_mask
-        mshr = hierarchy.mshrs[core_id]
-        self._mshr_entries = mshr._entries
-        self._mshr_cap = mshr.capacity
-        self._l2_mshr_cap = hierarchy.l2_mshr_cap
-        #: the controller's shared buffer, or None for split-controller
-        #: groups (per-channel queues; the probe calls can_accept instead)
-        self._ctrl_queues = getattr(hierarchy.controller, "queues", None)
-        self._cq_cap = (
-            self._ctrl_queues.capacity if self._ctrl_queues is not None else 0
-        )
-        # Bound-method callbacks created once: the retry/store paths pass
+        # Bound-method callbacks created once: the stall/store paths pass
         # these thousands of times per run, and each plain attribute access
         # would build a fresh bound method.
         self._on_unblock_cb = self._on_unblock
@@ -258,56 +239,11 @@ class TraceCore:
             self._run(now)
 
     def _on_unblock(self, now: int) -> None:
-        if self._stopped or not self._blocked:
-            return  # stale wake (another resource freed us already)
-        # The front end lost the stalled cycles; resume from the wake point.
+        """The parked access can go through now (the hierarchy only calls
+        back then).  The front end lost the stalled cycles; resume fetch
+        from the wake point."""
         if self.fetch_q < now * self._Q:
             self.fetch_q = now * self._Q
-        # Fast re-block test.  Resource-freed wakes fan out to every
-        # blocked core, so most retries find the freed slot already taken
-        # and block again immediately.  Probe the exact BLOCKED conditions
-        # of CacheHierarchy.access_after_l1_miss (membership tests only —
-        # a miss path mutates nothing); when the op would just block
-        # again, charge the stats the failed attempt would have charged
-        # and re-register, skipping the full run-loop scaffolding.  Safe
-        # because commit state is already maximal at every event boundary
-        # (commit has no time cap) and _fetch_was_full is never set while
-        # blocked, so the skipped passes are provably no-ops.
-        op = self._cur_op
-        if op is not None:
-            addr = op.addr
-            tag = addr >> self._l1_off_bits
-            if tag not in self._l1_sets[tag & self._l1_set_mask]:
-                line = addr & self._line_mask
-                t2 = line >> self._l2_off_bits
-                if t2 not in self._l2_sets[t2 & self._l2_set_mask]:
-                    h = self.hierarchy
-                    entries = self._mshr_entries
-                    cq = self._ctrl_queues
-                    if line not in entries and (
-                        len(entries) >= self._mshr_cap
-                        or h._l2_outstanding >= self._l2_mshr_cap
-                        or (
-                            cq.occupancy >= self._cq_cap
-                            if cq is not None
-                            else not h.controller.can_accept()
-                        )
-                    ):
-                        self._demand_accesses[self.core_id] += 1
-                        self._l1.stats.misses += 1
-                        h.l2.stats.misses += 1
-                        self.stats.structural_stalls += 1
-                        if self.spans is not None:
-                            self.spans.note_blocked(
-                                self.core_id, self.fetch_q // self._Q, line
-                            )
-                        # Inlined CacheHierarchy.wait_unblock (keep in
-                        # sync) — one call saved per failed retry.
-                        h._unblock_waiters.append(self._on_unblock_cb)
-                        if not h._space_watch_armed:
-                            h._space_watch_armed = True
-                            h.controller.wait_for_space(h._on_space_freed)
-                        return  # still blocked
         self._blocked = False
         self._run(now)
 
@@ -441,48 +377,27 @@ class TraceCore:
         never runs inside fetch (``committed`` is constant here), the
         hierarchy reads no core state, and data/unblock waiters only fire
         later via engine events.  The L1 probe is the inlined body of
-        SetAssocCache.lookup (keep in sync with cache.py), charged to the
-        hierarchy's counters exactly as CacheHierarchy.access would; misses
-        continue in access_after_l1_miss, and only they need a data waiter,
-        so the per-load closure is built on that path alone.
+        SetAssocCache.lookup (keep in sync with cache.py), the only piece
+        of the hierarchy inlined here; a miss goes to
+        CacheHierarchy.access_after_l1_miss, which charges the reference
+        itself unless it is BLOCKED.
         """
         Q = self._Q
         rob_size = self._rob_size
         rob = self._rob
         stats = self.stats
-        l1 = self._l1
         l1_sets = self._l1_sets
         l1_off_bits = self._l1_off_bits
         l1_set_mask = self._l1_set_mask
         l1_hit_latency = self._l1_hit_latency
-        demand = self._demand_accesses
         core_id = self.core_id
+        access_after_l1_miss = self.hierarchy.access_after_l1_miss
         # Counter cells hoisted to locals for the per-op loop and written
-        # back once at exit (no callee reads them mid-call: the hierarchy
-        # charges its own counters and nothing re-enters this core).  The
-        # L1 stats object is re-read per call because clear() replaces it.
-        l1_stats = l1.stats
-        n_l1_hits = 0  # l1.stats.hits
-        n_l1_miss = 0  # l1.stats.misses
-        n_demand = 0  # demand_accesses[core_id]
+        # back once at exit (nothing re-enters this core mid-call).
+        n_l1_hits = 0  # l1.stats.hits and demand_accesses[core_id]
         n_loads = 0
         n_stores = 0
         n_s_l1_hits = 0  # stats.l1_hits
-        # L2 fast path hoists (the L2-hit continuation of
-        # access_after_l1_miss is inlined below; keep in sync).
-        h = self.hierarchy
-        line_mask = self._line_mask
-        l2_sets = self._l2_sets
-        l2_off_bits = self._l2_off_bits
-        l2_set_mask = self._l2_set_mask
-        l2stats = h.l2.stats
-        l2_hit_latency = h._l2_hit_latency
-        l2_lat_is_l1 = l2_hit_latency == l1_hit_latency
-        l1_assoc = l1._assoc
-        prefetcher = h.prefetcher
-        after_l2_miss = h._after_l2_miss
-        n_l2_hits = 0  # l2.stats.hits
-        n_l2_miss = 0  # l2.stats.misses
         n_l2_load_hits = 0  # stats.l2_hits
         r_ops = self._replay_ops
         r_pos = self._trace_pos
@@ -549,7 +464,6 @@ class TraceCore:
             cycle = fetch_q // Q
             is_write = op.is_write
             addr = op.addr
-            n_demand += 1
             tag = addr >> l1_off_bits
             s = l1_sets[tag & l1_set_mask]
             if tag in s:
@@ -566,85 +480,45 @@ class TraceCore:
                     n_s_l1_hits += 1
                     n_loads += 1
             else:
-                n_l1_miss += 1
-                line = addr & line_mask
-                t2 = line >> l2_off_bits
-                s2 = l2_sets[t2 & l2_set_mask]
-                if t2 in s2:
-                    # L2 hit — inlined hit path of access_after_l1_miss
-                    # (keep in sync with hierarchy.py): refresh L2
-                    # recency, install into L1 and retire the reference
-                    # here, with no hierarchy call and no waiter.
-                    s2[t2] = s2.pop(t2)
-                    n_l2_hits += 1
-                    if prefetcher is not None and line in h._prefetched_lines:
-                        h._prefetched_lines.discard(line)
-                        prefetcher.mark_useful()
-                    t1 = line >> l1_off_bits
-                    s1 = l1_sets[t1 & l1_set_mask]
-                    if t1 in s1:
-                        s1[t1] = s1.pop(t1) or is_write
-                    else:
-                        v_dirty = False
-                        if len(s1) >= l1_assoc:
-                            v_tag = next(iter(s1))  # front of dict == LRU
-                            v_dirty = s1.pop(v_tag)
-                            l1_stats.evictions += 1
-                            if v_dirty:
-                                l1_stats.dirty_evictions += 1
-                        s1[t1] = is_write
-                        l1_stats.fills += 1
-                        if v_dirty:
-                            v_addr = v_tag << l1_off_bits
-                            if not h.l2.set_dirty(v_addr):
-                                h._emit_writeback(core_id, v_addr, cycle)
-                    if is_write:
-                        n_stores += 1
-                    else:
-                        # Data is ready at a known cycle: a tuple entry
-                        # commits identically and never mutates.
-                        rob.append((fetched, cycle + l2_hit_latency))
-                        if l2_lat_is_l1:
-                            n_s_l1_hits += 1
-                        else:
-                            n_l2_load_hits += 1
-                        n_loads += 1
+                if is_write:
+                    entry = None
+                    waiter = self._store_cb
                 else:
-                    n_l2_miss += 1
-                    if is_write:
-                        entry = None
-                        waiter = self._store_cb
+                    entry = [fetched, _NOT_READY]
+                    # (method, entry) pair instead of a per-miss closure;
+                    # MSHR fire sites unpack it (see MshrFile.complete).
+                    waiter = (self._on_load_ready, entry)
+                result = access_after_l1_miss(core_id, addr, is_write, cycle, waiter)
+                if result == BLOCKED:
+                    stats.structural_stalls += 1
+                    if self.spans is not None:
+                        # Stamp the first attempt so the eventual
+                        # request's span can attribute the
+                        # structural-stall wait.
+                        self.spans.note_blocked(
+                            core_id, cycle, self.hierarchy.line_of(addr)
+                        )
+                    self._blocked = True
+                    self.hierarchy.wait_unblock(core_id, addr, self._on_unblock_cb)
+                    break  # op stays pending until the hierarchy wakes us
+                if is_write:
+                    n_stores += 1
+                elif result >= 0:
+                    # L2 hit: data is ready at a known cycle, so a tuple
+                    # entry commits identically and never mutates.
+                    rob.append((fetched, cycle + result))
+                    if result == l1_hit_latency:
+                        n_s_l1_hits += 1
                     else:
-                        entry = [fetched, _NOT_READY]
-                        # (method, entry) pair instead of a per-miss
-                        # closure; MSHR fire sites unpack it (see
-                        # MshrFile.complete).
-                        waiter = (self._on_load_ready, entry)
-                    result = after_l2_miss(core_id, line, is_write, cycle, waiter)
-                    if result == BLOCKED:
-                        stats.structural_stalls += 1
-                        if self.spans is not None:
-                            # Stamp the first attempt so the eventual
-                            # request's span can attribute the
-                            # structural-stall wait.
-                            self.spans.note_blocked(core_id, cycle, line)
-                        self._blocked = True
-                        # Inlined CacheHierarchy.wait_unblock (keep in
-                        # sync).
-                        h._unblock_waiters.append(self._on_unblock_cb)
-                        if not h._space_watch_armed:
-                            h._space_watch_armed = True
-                            h.controller.wait_for_space(h._on_space_freed)
-                        break  # op stays pending for the retry
-                    elif is_write:
-                        n_stores += 1
-                    else:
-                        # PENDING (new memory request) or MERGED (rides an
-                        # in-flight line): either way the load waits.
-                        n_loads += 1
-                        if result == PENDING:
-                            stats.mem_requests += 1
-                        rob.append(entry)
+                        n_l2_load_hits += 1
+                    n_loads += 1
+                else:
+                    # PENDING (new memory request) or MERGED (rides an
+                    # in-flight line): either way the load waits.
+                    n_loads += 1
+                    if result == PENDING:
+                        stats.mem_requests += 1
+                    rob.append(entry)
             fetched += 1
             fetch_q += 1
             if r_pos < n_ops:
@@ -667,17 +541,13 @@ class TraceCore:
         self._trace_pos = r_pos
         self._cur_op = op
         self._cur_op_inst = cur_inst
-        if n_demand:
-            demand[core_id] += n_demand
-            l1_stats.hits += n_l1_hits
-            l1_stats.misses += n_l1_miss
+        if n_loads or n_stores:
+            self._demand_accesses[core_id] += n_l1_hits
+            self._l1.stats.hits += n_l1_hits
             stats.loads += n_loads
             stats.stores += n_stores
             stats.l1_hits += n_s_l1_hits
-            if n_l1_miss:
-                l2stats.hits += n_l2_hits
-                l2stats.misses += n_l2_miss
-                stats.l2_hits += n_l2_load_hits
+            stats.l2_hits += n_l2_load_hits
         return progressed
 
     def _store_data_cb(self, _line: int, now: int) -> None:

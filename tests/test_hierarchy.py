@@ -89,10 +89,60 @@ class TestMissPaths:
         n = cfg.core.data_mshrs
         for i in range(n):
             hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None)
+        addr = (n + 1) << 20
+        assert hier.access(0, addr, False, 0, lambda l, t: None) == BLOCKED
         woken = []
-        hier.wait_unblock(lambda now: woken.append(now))
+        hier.wait_unblock(0, addr, lambda now: woken.append(now))
         engine.run()
-        assert woken, "unblock callback never fired"
+        assert len(woken) == 1, "unblock callback must fire exactly once"
+
+    def test_wake_order_follows_park_order(self):
+        """Two accesses parked on a full controller buffer: the earlier one
+        is called back first, takes the freed slot, and the later one is
+        only called once another slot frees (never while it would block)."""
+        cfg, engine, ctrl, hier = make_stack(num_cores=3, buffer_entries=4)
+        for i in range(4):
+            assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
+        called = []
+
+        def park(core, addr):
+            assert hier.access(core, addr, False, 0, lambda l, t: None) == BLOCKED
+
+            def retry(now):
+                result = hier.access(core, addr, False, now, lambda l, t: None)
+                called.append((core, result))
+
+            hier.wait_unblock(core, addr, retry)
+
+        park(1, 50 << 20)
+        park(2, 60 << 20)
+        engine.run()
+        assert called == [(1, PENDING), (2, PENDING)]
+
+    def test_access_blocked_on_own_mshrs_stays_parked(self):
+        """A slot freed in the controller buffer wakes the later-parked
+        access that it unblocks; the earlier one, still blocked on its own
+        full MSHR file, keeps waiting until one of its own fills returns."""
+        cfg, engine, ctrl, hier = make_stack(num_cores=2, buffer_entries=32)
+        n = cfg.core.data_mshrs
+        for i in range(n):
+            assert hier.access(0, (i + 1) << 20, False, 0, lambda l, t: None) == PENDING
+        assert not ctrl.can_accept()
+        called = []
+
+        def park(core, addr):
+            assert hier.access(core, addr, False, 0, lambda l, t: None) == BLOCKED
+
+            def wake(now):
+                called.append((core, hier.mshrs[core].occupancy))
+
+            hier.wait_unblock(core, addr, wake)
+
+        park(0, (n + 1) << 20)
+        park(1, 99 << 20)
+        engine.run()
+        assert [core for core, _ in called] == [1, 0]
+        assert called[1][1] < n, "core 0 was woken with its MSHR file full"
 
     def test_controller_buffer_full_blocks(self):
         cfg, engine, ctrl, hier = make_stack(buffer_entries=4)

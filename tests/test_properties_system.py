@@ -7,7 +7,7 @@ lost nor duplicated), monotone commit, and cross-policy functional
 equivalence (scheduling may reorder, never change, the work done).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
@@ -20,6 +20,11 @@ CFG2 = SystemConfig(num_cores=2)
 
 # Small random programs: gaps up to 50, a handful of 64 B-aligned lines
 # spread over regions that hit different banks/rows.
+#: back-to-back loads of 60 distinct lines: more misses than one core has
+#: MSHRs, so fetch stalls structurally and retries (pinned as an example
+#: so the counter ledger is always checked across a blocked access)
+DENSE_MISSES = [(0, line, False) for line in range(60)]
+
 ops_strategy = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=50),  # gap
@@ -41,9 +46,23 @@ def total_insts(raw):
     return sum(gap + 1 for gap, _, _ in raw)
 
 
+def assert_counter_ledger(sys_):
+    """Every reference is charged once, by its actual result: blocked
+    attempts are structural stalls, not extra accesses or misses."""
+    h = sys_.hierarchy
+    for i, core in enumerate(sys_.cores):
+        l1 = h.l1d[i].stats
+        assert h.demand_accesses[i] == core.stats.loads + core.stats.stores
+        assert l1.hits + l1.misses == h.demand_accesses[i]
+    l2 = h.l2.stats
+    assert sum(c.stats.misses for c in h.l1d) == l2.hits + l2.misses
+    assert l2.misses == sum(h.l2_misses) + sum(m.merges for m in h.mshrs)
+
+
 class TestSingleCoreInvariants:
     @settings(max_examples=30, deadline=None)
     @given(ops_strategy)
+    @example(DENSE_MISSES)
     def test_causality_and_conservation(self, raw):
         trace = build_trace(raw)
         target = total_insts(raw) + 20
@@ -60,6 +79,7 @@ class TestSingleCoreInvariants:
         # bytes moved == transactions * line size
         lines = sum(st_.read_count) + sum(st_.write_count)
         assert sum(st_.bytes_read) + sum(st_.bytes_written) == 64 * lines
+        assert_counter_ledger(sys_)
 
     @settings(max_examples=15, deadline=None)
     @given(ops_strategy)
@@ -87,6 +107,7 @@ class TestSingleCoreInvariants:
 class TestTwoCoreInvariants:
     @settings(max_examples=15, deadline=None)
     @given(ops_strategy, ops_strategy)
+    @example(DENSE_MISSES, DENSE_MISSES)
     def test_two_cores_both_finish(self, raw_a, raw_b):
         traces = [build_trace(raw_a), build_trace(raw_b)]
         target = max(total_insts(raw_a), total_insts(raw_b)) + 20
@@ -97,6 +118,7 @@ class TestTwoCoreInvariants:
         for i, raw in enumerate((raw_a, raw_b)):
             c = sys_.cores[i]
             assert c.stats.loads + c.stats.stores >= len(raw)
+        assert_counter_ledger(sys_)
 
     @settings(max_examples=10, deadline=None)
     @given(ops_strategy)
