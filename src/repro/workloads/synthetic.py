@@ -32,12 +32,11 @@ exactly like the paper's setup.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
 from repro.cpu.trace import MemOp
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, lemire_reject
 from repro.workloads.spec2000 import AppProfile
 
 __all__ = ["SyntheticApp", "ReplayTrace", "make_trace", "clear_trace_cache"]
@@ -70,6 +69,10 @@ _STREAM_BASE_LINE = 4 << 30
 #: sets (core address spaces differ only in very high bits) and the shared
 #: L2 would thrash structurally at 4+ cores.
 _PLACEMENT_SPAN = 1 << 16
+
+#: largest resident set, in lines: keeps the hot and L2 regions inside
+#: their 2**30-line slots (and their index draws on 32-bit words)
+_MAX_RESIDENT_LINES = (1 << 30) - _PLACEMENT_SPAN
 
 
 class SyntheticApp:
@@ -105,11 +108,13 @@ class SyntheticApp:
         "_prologue_left",
         "_phase_scale",
         "ops_generated",
-        "_grandom",
-        "_gints",
-        "_ggeom",
+        "_random",
+        "_next_u32",
+        "_randint",
+        "_draw_gap",
+        "_draw_burst_gap",
+        "_draw_burst_len",
         "_gap_pc",
-        "_burst_len_pc",
         "_store_frac",
         "_l2_frac",
         "_phase_period",
@@ -134,19 +139,17 @@ class SyntheticApp:
         self._burst_start_p = min(bursts_per_kinst / ops_per_kinst, 1.0)
         # Geometric continuation keeps the mean burst length at burst_mean.
         self._burst_cont_p = 1.0 - 1.0 / max(p.burst_mean, 1.0)
-        # Bound numpy-generator methods and pre-clamped geometric
-        # parameters for the per-op draw loop: the draws below are the
-        # inlined bodies of RngStream.random/randint/geometric (keep in
-        # sync with util/rng.py) — same generator, same argument values,
-        # so the draw sequence is bit-identical, minus a wrapper frame per
-        # draw.  int()/bool() conversions are kept so gaps, addresses and
-        # flags stay plain Python objects.
-        g = rng.generator()
-        self._grandom = g.random
-        self._gints = g.integers
-        self._ggeom = g.geometric
+        # The stream's draw callables, bound once for the per-op loop
+        # (RngStream's C-level draws; the geometric ones with their fixed
+        # p).  next_op inlines randint's 32-bit bounded draw for the hot
+        # and L2 sets.
+        self._random = rng.random
+        self._next_u32 = rng.next_uint32
+        self._randint = rng.randint
+        self._draw_gap = rng.geometric_draw(self._gap_p)
+        self._draw_burst_gap = rng.geometric_draw(0.5)  # mean 1 after -1
+        self._draw_burst_len = rng.geometric_draw(1.0 - self._burst_cont_p)
         self._gap_pc = min(max(self._gap_p, 1e-12), 1.0)
-        self._burst_len_pc = min(max(1.0 - self._burst_cont_p, 1e-12), 1.0)
         # Per-op profile constants, flattened off the frozen dataclass.
         self._store_frac = p.store_frac
         self._l2_frac = p.l2_frac
@@ -158,6 +161,8 @@ class SyntheticApp:
         # Hot and L2-resident sets as fixed line pools.
         hot_count = max(p.hot_kb * 1024 // LINE, 1)
         l2_count = max(p.l2_set_kb * 1024 // LINE, 1)
+        if max(hot_count, l2_count) > _MAX_RESIDENT_LINES:
+            raise ValueError(f"{p.name}: resident sets above 64 GiB overlap")
         self._hot_lines = hot_count
         self._l2_lines = l2_count
         # Random placement of the resident regions (cache-set diversity
@@ -185,14 +190,14 @@ class SyntheticApp:
         will live in — without it every stream would start at line 0 of
         its region and alias onto channel 0 / bank 0.
         """
-        region = int(self._gints(0, STREAM_REGIONS))
-        offset = int(self._gints(0, min(self.profile.stride_lines, STREAM_RUN_LINES)))
+        region = self._randint(0, STREAM_REGIONS)
+        offset = self._randint(0, min(self.profile.stride_lines, STREAM_RUN_LINES))
         stream[0] = _STREAM_BASE_LINE + region * STREAM_RUN_LINES + offset
         stream[1] = max(STREAM_RUN_LINES // self.profile.stride_lines, 1)
 
     def _miss_addr(self) -> int:
         """A line expected to miss the L2 (strided-stream or random)."""
-        if self._grandom() < self.profile.seq_frac:
+        if self._random() < self.profile.seq_frac:
             # Round-robin across the concurrent array streams; each stream
             # advances by stride_lines (same bank, next row column).
             stream = self._streams[self._stream_idx]
@@ -203,17 +208,7 @@ class SyntheticApp:
             stream[0] += self.profile.stride_lines
             stream[1] -= 1
         else:
-            line = _CHASE_BASE_LINE + int(self._gints(0, CHASE_REGION_LINES))
-        return self.base_addr + line * LINE
-
-    def _hot_addr(self) -> int:
-        """A reference into the L1-resident hot set."""
-        line = self._hot_base + int(self._gints(0, self._hot_lines))
-        return self.base_addr + line * LINE
-
-    def _l2_addr(self) -> int:
-        """A reference into the L2-resident (L1-missing) set."""
-        line = self._l2_base + int(self._gints(0, self._l2_lines))
+            line = _CHASE_BASE_LINE + self._randint(0, CHASE_REGION_LINES)
         return self.base_addr + line * LINE
 
     # -- TraceSource ---------------------------------------------------------------
@@ -227,7 +222,7 @@ class SyntheticApp:
             # draw is element-wise stream-identical to the scalar loop —
             # one numpy call replaces thousands (golden tests pin the
             # equivalence).
-            gaps = self._prologue_gaps = self._ggeom(
+            gaps = self._prologue_gaps = self.rng.generator().geometric(
                 self._gap_pc, self._prologue_left
             ).tolist()
         idx = (self._hot_lines + self._l2_lines) - self._prologue_left
@@ -264,23 +259,33 @@ class SyntheticApp:
             # Inside a miss burst: tight gaps keep the misses within one
             # ROB window so they overlap (that is what MLP means here).
             self._burst_left -= 1
-            gap = int(self._ggeom(0.5)) - 1  # mean 1
+            gap = self._draw_burst_gap() - 1
             addr = self._miss_addr()
-            is_write = bool(self._grandom() < self._store_frac)
+            is_write = self._random() < self._store_frac
             self.ops_generated += 1
             return MemOp(gap, addr, is_write)
-        gap = int(self._ggeom(self._gap_pc)) - 1
-        roll = self._grandom()
+        gap = self._draw_gap() - 1
+        roll = self._random()
         if roll < self._burst_start_p * self._phase_scale:
             # Start a new miss burst; this op is its first miss.
-            length = int(self._ggeom(self._burst_len_pc))
-            self._burst_left = length - 1
+            self._burst_left = self._draw_burst_len() - 1
             addr = self._miss_addr()
-        elif roll < self._burst_start_p + self._l2_frac:
-            addr = self._l2_addr()
         else:
-            addr = self._hot_addr()
-        is_write = bool(self._grandom() < self._store_frac)
+            # A line of the L2-resident (L1-missing) or the L1-resident
+            # hot set: RngStream.randint(0, n) inlined (numpy's 32-bit
+            # Lemire draw; a one-line set draws nothing).
+            if roll < self._burst_start_p + self._l2_frac:
+                line, n = self._l2_base, self._l2_lines
+            else:
+                line, n = self._hot_base, self._hot_lines
+            if n > 1:
+                m = self._next_u32() * n
+                if (m & 0xFFFFFFFF) < n:
+                    line += lemire_reject(self._next_u32, m, n, 32)
+                else:
+                    line += m >> 32
+            addr = self.base_addr + line * LINE
+        is_write = self._random() < self._store_frac
         self.ops_generated += 1
         return MemOp(gap, addr, is_write)
 
@@ -310,7 +315,7 @@ def _raw_trace(
 # each recording stops at ``_STREAM_OP_CAP`` ops — a consumer running past
 # the cap falls back to live generation (taking over the positioned
 # generator when it is first past the end, or regenerating and
-# fast-forwarding otherwise).  Set ``REPRO_TRACE_CACHE=0`` to disable.
+# fast-forwarding otherwise).
 
 #: max recorded ops per stream (~20 MB at the cap; typical runs use a few
 #: tens of thousands of ops per core)
@@ -460,8 +465,6 @@ def make_trace(
     recorded stream (see the trace replay cache above); the returned ops
     are bit-identical to a fresh generator's either way.
     """
-    if os.environ.get("REPRO_TRACE_CACHE", "1") == "0":
-        return _raw_trace(profile, seed, phase, core_id)
     key = (profile, seed, phase, core_id)
     with _trace_cache_lock:
         rec = _trace_cache.get(key)
