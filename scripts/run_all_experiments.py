@@ -13,13 +13,9 @@ in an on-disk cache (``.repro-cache/`` by default); ``--resume`` reads
 it back so an interrupted run completes only the missing cells, and
 ``--no-cache`` disables the disk entirely.
 
-``--coordinator HOST:PORT`` executes the cells on a distributed sweep
-service (``repro serve`` + ``repro worker``) instead of a local pool —
-same bit-identical merge, see docs/DISTRIBUTED.md.
-
 Usage:
     python scripts/run_all_experiments.py [--budget 30000] [--seeds 1 2 3]
-        [--jobs N] [--coordinator HOST:PORT] [--resume] [--no-cache]
+        [--jobs N] [--resume] [--no-cache]
         [--cache-dir DIR] [--only table2 figure2 ...] [--stable-output]
         [--out EXPERIMENTS-data.md] [--skip-ablations] [--quick]
 """
@@ -255,18 +251,9 @@ def prewarm(ctx, sections, args) -> None:
     elif "figure2" in sections:
         plan_kwargs["figure2"] = ((2, 4, 8), ("MEM", "MIX"))
     cells = plan_cells(ctx, **plan_kwargs)
-    if args.coordinator:
-        from repro.service.client import submit_cells
-
-        print(f"prewarm: {len(cells)} cells via coordinator "
-              f"{args.coordinator}", file=sys.stderr)
-        report = submit_cells(args.coordinator, cells, bus=_progress_bus())
-    else:
-        jobs = args.jobs if args.jobs > 0 else default_jobs()
-        print(f"prewarm: {len(cells)} cells over {jobs} jobs",
-              file=sys.stderr)
-        report = run_cells(cells, jobs=jobs, cache=ctx.cache,
-                           bus=_progress_bus())
+    jobs = args.jobs if args.jobs > 0 else default_jobs()
+    print(f"prewarm: {len(cells)} cells over {jobs} jobs", file=sys.stderr)
+    report = run_cells(cells, jobs=jobs, cache=ctx.cache, bus=_progress_bus())
     print(f"prewarm: {report.summary()}", file=sys.stderr)
     if report.failures:
         # One retry already happened per cell; anything still failing is
@@ -276,48 +263,14 @@ def prewarm(ctx, sections, args) -> None:
     merge_into(ctx, report)
 
 
-def _end_of_run_summary(args, cache) -> None:
-    """Cache and store accounting, printed to stderr after the tables.
-
-    Shows where results came from: the local ``.repro-cache/`` counters
-    always, and — on a ``--coordinator`` run — the coordinator's
-    lifetime stats plus its ResultStore hit/miss/verify counters (from
-    the fleet metrics snapshot when ``repro serve --telemetry`` is on,
-    from the basic status stats otherwise).
-    """
+def _end_of_run_summary(cache) -> None:
+    """Result-cache accounting, printed to stderr after the tables."""
     lines = ["== end-of-run summary =="]
     if cache is not None:
         lines.append(f"local {cache.stats.line()}  "
                      f"[{cache.root}, mode {cache.mode}]")
     else:
         lines.append("local cache: disabled (--no-cache)")
-    if args.coordinator:
-        from repro.service.client import coordinator_status
-
-        try:
-            doc = coordinator_status(args.coordinator)
-        except (OSError, RuntimeError) as exc:
-            lines.append(f"coordinator {args.coordinator}: "
-                         f"status unavailable ({exc})")
-        else:
-            s = doc.get("stats", {})
-            run = f" (run {doc['run_id']})" if doc.get("run_id") else ""
-            lines.append(
-                f"coordinator {args.coordinator}{run}: "
-                f"{s.get('results', 0)} results, "
-                f"{s.get('hits', 0)} store hits, "
-                f"{s.get('sha_mismatch', 0)} corrupt payloads, "
-                f"{s.get('expired', 0)} expired leases, "
-                f"{s.get('failed_cells', 0)} failed cells")
-            inst = (doc.get("fleet") or {}).get("instruments") or {}
-            if inst:
-                def val(name):
-                    return inst.get(name, {}).get("value", 0)
-
-                lines.append(
-                    f"coordinator store: {val('fleet.store.hits')} hits, "
-                    f"{val('fleet.store.misses')} misses, "
-                    f"{val('fleet.store.verify_failures')} verify failures")
     print("\n".join(lines), file=sys.stderr)
 
 
@@ -337,10 +290,6 @@ def _main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="shard simulation cells over N worker processes "
                          "(0 = one per CPU); output stays byte-identical")
-    ap.add_argument("--coordinator", default=None, metavar="HOST:PORT",
-                    help="run the cells on a distributed sweep coordinator "
-                         "(repro serve) instead of a local pool; output "
-                         "stays byte-identical (docs/DISTRIBUTED.md)")
     ap.add_argument("--resume", action="store_true",
                     help="reuse cached cell results (continue an "
                          "interrupted or incremental regeneration)")
@@ -372,7 +321,7 @@ def _main(argv=None) -> int:
             sections = tuple(s for s in sections if s != "ablations")
 
     jobs = args.jobs if args.jobs > 0 else default_jobs()
-    if jobs > 1 or args.coordinator:
+    if jobs > 1:
         prewarm(ctx, sections, args)
 
     out: list[str] = []
@@ -401,7 +350,7 @@ def _main(argv=None) -> int:
             section_ablations(ctx, out, stable=stable)
     if not stable:
         out.append(f"\n_Total wall time: {time.time()-t0:.0f}s._")
-    _end_of_run_summary(args, cache)
+    _end_of_run_summary(cache)
     text = "\n".join(out)
     print(text)
     if args.out:

@@ -14,24 +14,15 @@ Subcommands mirror the paper's workflow:
 * ``workloads`` — list the Table 3 mixes and the cloud mixes;
 * ``policies``  — list the registered scheduling policies.
 
-Distributed sweeps (docs/DISTRIBUTED.md):
-
-* ``serve``     — start the sweep coordinator (leases, retries, store);
-* ``worker``    — attach a worker process to a coordinator;
-* ``submit``    — run a figure/table sweep on a coordinator and render
-                  it exactly as the serial command would (byte-identical).
-
-Fleet observability (docs/OBSERVABILITY.md): ``serve``/``worker`` accept
-``--telemetry``/``--trace-out`` to record fleet metrics and wall-clock
-traces, ``submit --watch`` renders a live progress dashboard, ``obs
-merge-trace`` stitches per-process traces into one Perfetto timeline,
-and ``run``/``profile`` accept ``--profile`` to cProfile the engine.
+``figure``, ``table2``, ``arena`` and ``cloud`` accept ``--jobs N`` to run
+their simulation cells over N local worker processes, byte-identically
+to a serial run (docs/PERFORMANCE.md); ``run`` and ``profile`` accept
+``--profile`` to cProfile the engine (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -320,221 +311,6 @@ def _cmd_cloud(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- distributed sweep verbs (docs/DISTRIBUTED.md) ---------------------------------
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service.coordinator import Coordinator
-    from repro.service.store import ResultStore
-    from repro.telemetry.bus import TelemetryBus
-
-    store = (None if args.no_store
-             else ResultStore(root=args.store, mode="rw"))
-    bus = TelemetryBus(retain=False)
-
-    def narrate(ev):
-        if ev.name == "service.cell" and not args.verbose:
-            return
-        detail = " ".join(f"{k}={v}" for k, v in sorted(ev.args.items()))
-        print(f"  [{ev.name}] {detail}", file=sys.stderr)
-
-    bus.subscribe(narrate)
-
-    observer = None
-    if (args.telemetry or args.trace_out or args.metrics_out
-            or args.prometheus_out):
-        from repro.telemetry.fleet import FleetObserver
-
-        observer = FleetObserver(
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            prometheus_out=args.prometheus_out,
-            snapshot_every=args.sample_every,
-        )
-
-    async def serve() -> Coordinator:
-        coord = Coordinator(
-            host=args.host, port=args.port, store=store,
-            lease_seconds=args.lease, max_attempts=args.max_attempts,
-            bus=bus, observer=observer,
-        )
-        await coord.start()
-        print(f"serving on {coord.host}:{coord.port} "
-              f"(fingerprint {coord.fingerprint}, "
-              f"store {'off' if store is None else store.root}, "
-              f"lease {args.lease:g}s, "
-              f"max attempts {args.max_attempts}, "
-              f"run {coord.run_id})", flush=True)
-        try:
-            await coord.wait_stopped()
-        finally:
-            await coord.stop()
-            print(f"coordinator stopped: {coord.summary()}", file=sys.stderr)
-        return coord
-
-    asyncio.run(serve())
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service.protocol import parse_addr
-    from repro.service.store import ResultStore
-    from repro.service.worker import run_worker
-
-    host, port = parse_addr(args.coordinator)
-    store = (ResultStore(root=args.store, mode="rw")
-             if args.store else None)
-    trace_out = args.trace_out
-    if trace_out is None and args.telemetry:
-        trace_out = f"fleet-worker-{args.id or os.getpid()}.jsonl"
-    stats = asyncio.run(run_worker(
-        host, port, worker_id=args.id, store=store,
-        connect_retries=args.connect_retries,
-        trace_out=trace_out,
-        snapshot_seconds=args.sample_every if trace_out else None,
-    ))
-    print(f"worker done: {stats['executed']} executed, "
-          f"{stats['hits']} store hits, {stats['failed']} failed")
-    if trace_out:
-        print(f"fleet trace: {trace_out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import merge_into, plan_cells
-    from repro.service.client import (
-        coordinator_status,
-        request_shutdown,
-        submit_cells,
-    )
-    from repro.telemetry.bus import TelemetryBus
-
-    if args.stop:
-        request_shutdown(args.coordinator)
-        print("coordinator stopped", file=sys.stderr)
-        return 0
-    if args.status:
-        doc = coordinator_status(args.coordinator)
-        print(f"workers: {', '.join(doc['workers']) or '(none)'}")
-        print(f"tasks:   {doc['tasks']}")
-        print(f"stats:   {doc['stats']}")
-        if doc.get("run_id"):
-            print(f"run:     {doc['run_id']}")
-        if doc.get("fleet"):
-            from repro.telemetry.fleet import render_dashboard
-
-            done = doc["tasks"].get("done", 0)
-            total = sum(doc["tasks"].values())
-            print(render_dashboard(doc, done, total))
-        return 0
-
-    ctx = _make_ctx(args)
-    plan_by_section = {
-        "table2": {"table2": True},
-        "figure2": {"figure2": (tuple(args.cores), tuple(args.groups))},
-        "figure3": {"figure3": tuple(args.groups)},
-        "figure4": {"figure4": True},
-        "figure5": {"figure5": True},
-        "arena": {"arena": (tuple(args.mixes), None)},
-        "cloud": {"cloud": (tuple(args.mixes), None)},
-    }
-    cells = plan_cells(ctx, **plan_by_section[args.section])
-
-    bus = TelemetryBus(retain=False)
-
-    def narrate(ev):
-        if ev.name != "experiment.cell":
-            return
-        a = ev.args
-        print(f"  [{a['done']}/{a['total']}] {a['status']:<7} {a['key']}",
-              file=sys.stderr)
-
-    bus.subscribe(narrate)
-    trace_events: list[tuple[float, dict]] = []
-    if args.trace_out or args.telemetry:
-        import time as _time
-
-        def record(ev):
-            if ev.name == "experiment.cell":
-                trace_events.append((_time.time(), dict(ev.args)))
-
-        bus.subscribe(record)
-    watch_seconds = args.sample_every if args.watch else None
-    report = submit_cells(args.coordinator, cells, bus=bus,
-                          watch_seconds=watch_seconds)
-    if report.failures:
-        print(report.failure_report(), file=sys.stderr)
-    merge_into(ctx, report)
-    print(report.summary(), file=sys.stderr)
-    if report.run_id:
-        print(f"run: {report.run_id}", file=sys.stderr)
-    if args.trace_out and report.run_id:
-        # Client-lane fleet trace: one instant per completed cell, so the
-        # merged timeline shows when results landed back at the client.
-        from repro.telemetry.fleet import FleetTraceWriter
-
-        trace = FleetTraceWriter(args.trace_out, role="client",
-                                 run_id=report.run_id)
-        for t, a in trace_events:
-            trace.event(f"cell {a['key'].split(':cfg=')[0]}", "i",
-                        track="cells", t=t, status=a["status"],
-                        done=a["done"], total=a["total"])
-        trace.close(cells=len(trace_events))
-        print(f"fleet trace: {args.trace_out}", file=sys.stderr)
-    if args.telemetry:
-        doc = coordinator_status(args.coordinator)
-        if doc.get("fleet"):
-            from repro.telemetry.fleet import render_dashboard
-
-            print(render_dashboard(doc, len(report.results), len(cells)),
-                  file=sys.stderr)
-
-    if args.section == "table2":
-        print(format_table2(run_table2(ctx)))
-    elif args.section == "figure2":
-        print(format_figure2(run_figure2(
-            ctx, core_counts=tuple(args.cores), groups=tuple(args.groups))))
-    elif args.section == "figure3":
-        print(format_figure3(run_figure3(ctx, groups=tuple(args.groups))))
-    elif args.section == "figure4":
-        print(format_figure4(run_figure4(ctx)))
-    elif args.section == "figure5":
-        print(format_figure5(run_figure5(ctx)))
-    elif args.section == "arena":
-        from repro.experiments.arena import format_arena, run_arena
-
-        mixes = tuple(args.mixes)
-        print(format_arena(run_arena(ctx, mixes=mixes), mixes))
-    elif args.section == "cloud":
-        from repro.experiments.cloud import format_cloud, run_cloud_table
-
-        print(format_cloud(run_cloud_table(ctx, mixes=tuple(args.mixes))))
-    return 0
-
-
-def _cmd_obs_merge(args: argparse.Namespace) -> int:
-    from repro.telemetry.fleet import write_merged_trace
-
-    doc = write_merged_trace(args.traces, args.out)
-    other = doc["otherData"]
-    n_events = sum(1 for e in doc["traceEvents"]
-                   if e.get("ph") in ("B", "E", "i", "C"))
-    print(f"run {other['run_id']}: merged {len(other['sources'])} traces, "
-          f"{n_events} events -> {args.out}")
-    for s in other["sources"]:
-        label = s["role"] + (f" {s['worker_id']}" if s.get("worker_id")
-                             else "")
-        print(f"  pid {s['pid']}  {label:<24} {s['events']:>6} events  "
-              f"{s['path']}")
-    print("open in https://ui.perfetto.dev (lanes = processes, "
-          "slices = leases/cells, gaps = idle)")
-    return 0
-
-
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     from repro.workloads.cloud import CLOUD_MIXES, service_by_code
 
@@ -672,113 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("policies", help="list scheduling policies")
     p.set_defaults(fn=_cmd_policies)
 
-    p = sub.add_parser(
-        "serve", help="start the distributed sweep coordinator")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1; see the security "
-                        "note in docs/DISTRIBUTED.md before widening)")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default 0 = pick a free one)")
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="content-addressed result store "
-                        "(default: .repro-cache)")
-    p.add_argument("--no-store", action="store_true",
-                   help="run without a persistent result store")
-    p.add_argument("--lease", type=float, default=60.0, metavar="SECONDS",
-                   help="cell lease duration before a silent worker is "
-                        "presumed dead (default 60)")
-    p.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                   help="attempts per cell before it is reported failed")
-    p.add_argument("--verbose", action="store_true",
-                   help="also narrate per-cell service events")
-    g = p.add_argument_group("fleet observability (docs/OBSERVABILITY.md)")
-    g.add_argument("--telemetry", action="store_true",
-                   help="collect fleet metrics (lease/queue/worker "
-                        "counters) and serve them via status requests")
-    g.add_argument("--trace-out", metavar="PATH",
-                   help="record coordinator lease slices as a fleet trace "
-                        "(JSONL; merge with 'repro obs merge-trace'); "
-                        "implies --telemetry")
-    g.add_argument("--metrics-out", metavar="PATH",
-                   help="append periodic metrics snapshots as JSONL; "
-                        "implies --telemetry")
-    g.add_argument("--prometheus-out", metavar="PATH",
-                   help="write the latest snapshot in Prometheus text "
-                        "format (textfile-collector ready); implies "
-                        "--telemetry")
-    g.add_argument("--sample-every", type=float, default=5.0,
-                   metavar="SECONDS",
-                   help="metrics snapshot period (default 5)")
-    p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser("worker", help="attach a sweep worker")
-    p.add_argument("coordinator", metavar="HOST:PORT")
-    p.add_argument("--id", default=None, help="worker name (default: auto)")
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="local read-through result store (optional)")
-    p.add_argument("--connect-retries", type=int, default=10, metavar="N",
-                   help="retry the initial connection N times, 0.5s apart "
-                        "(default 10 — lets the worker start first)")
-    g = p.add_argument_group("fleet observability (docs/OBSERVABILITY.md)")
-    g.add_argument("--telemetry", action="store_true",
-                   help="record a fleet trace of executed cells "
-                        "(default file: fleet-worker-<id>.jsonl)")
-    g.add_argument("--trace-out", metavar="PATH",
-                   help="fleet trace file (JSONL; merge with "
-                        "'repro obs merge-trace'); implies --telemetry")
-    g.add_argument("--sample-every", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="progress-snapshot period in the trace (default 30)")
-    p.set_defaults(fn=_cmd_worker)
-
-    p = sub.add_parser(
-        "submit",
-        help="run a figure/table sweep on a coordinator, byte-identical "
-             "to the serial command")
-    p.add_argument("coordinator", metavar="HOST:PORT")
-    p.add_argument("section", nargs="?", default="figure2",
-                   choices=("table2", "figure2", "figure3", "figure4",
-                            "figure5", "arena", "cloud"))
-    _add_common(p)
-    p.add_argument("--cores", type=int, nargs="+", default=[4])
-    p.add_argument("--groups", nargs="+", default=["MEM"])
-    p.add_argument("--mixes", nargs="+", default=["smoke"],
-                   help="arena/cloud sections: mix-set and/or mix names")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
-    p.add_argument("--status", action="store_true",
-                   help="print the coordinator's status and exit")
-    p.add_argument("--stop", action="store_true",
-                   help="shut the coordinator down and exit")
-    g = p.add_argument_group("fleet observability (docs/OBSERVABILITY.md)")
-    g.add_argument("--watch", action="store_true",
-                   help="live dashboard on stderr while the job runs "
-                        "(progress bar + worker table; needs a coordinator "
-                        "started with --telemetry for the worker table)")
-    g.add_argument("--telemetry", action="store_true",
-                   help="print the coordinator's fleet snapshot after the "
-                        "job completes")
-    g.add_argument("--trace-out", metavar="PATH",
-                   help="record result arrivals as a client-lane fleet "
-                        "trace (JSONL; merge with 'repro obs merge-trace')")
-    g.add_argument("--sample-every", type=float, default=1.0,
-                   metavar="SECONDS",
-                   help="--watch refresh period (default 1)")
-    p.set_defaults(fn=_cmd_submit)
-
-    p = sub.add_parser(
-        "obs", help="fleet observability utilities (docs/OBSERVABILITY.md)")
-    obs_sub = p.add_subparsers(dest="obs_command", required=True)
-    m = obs_sub.add_parser(
-        "merge-trace",
-        help="stitch per-process fleet traces (coordinator + workers + "
-             "client) into one Chrome/Perfetto timeline")
-    m.add_argument("traces", nargs="+", metavar="TRACE",
-                   help="fleet trace JSONL files from one run "
-                        "(same run_id)")
-    m.add_argument("--out", default="fleet.trace.json", metavar="PATH",
-                   help="merged Chrome trace (default: %(default)s)")
-    m.set_defaults(fn=_cmd_obs_merge)
-
     return ap
 
 
@@ -787,9 +456,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except KeyboardInterrupt:
-        # Clean interactive interrupt: pools/connections wound down by the
-        # handlers above; completed cells persist in the store, so a re-run
-        # with --resume (or against the same coordinator) picks up there.
+        # Clean interactive interrupt: run_cells has shut its pool down;
+        # completed cells persist in the result cache, so a re-run with
+        # --resume picks up there.
         print("\ninterrupted", file=sys.stderr)
         return 130
 

@@ -21,13 +21,6 @@ advisory ``flock`` on ``<dir>/.lock`` (:class:`DirLock`), so two
 *concurrent invocations* sharing one cache directory serialise their
 writes instead of racing on the same entry.
 
-This module is the single implementation of the content-addressed
-result format: the distributed sweep service
-(:mod:`repro.service.store`) builds directly on the same keys,
-fingerprint, payload codec and on-disk layout, so a directory written
-by a local ``--jobs`` run is a warm store for a coordinator and vice
-versa.
-
 Cache *modes* separate the two read policies callers want:
 
 * ``"rw"``    — read existing entries and write new ones (``--resume`` /
@@ -219,8 +212,8 @@ def decode_payload(doc: dict):
 def payload_sha(payload: dict) -> str:
     """SHA-256 of the canonical JSON rendering of an encoded payload.
 
-    The wire protocol and the on-disk entries both carry this digest, so
-    a payload can be verified end to end without decoding it.
+    Every on-disk entry carries this digest, so a truncated or
+    bit-flipped payload is caught before it is decoded.
     """
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -232,11 +225,11 @@ def payload_sha(payload: dict) -> str:
 class DirLock:
     """Advisory inter-process lock serialising writers of one directory.
 
-    Two concurrent ``run_all_experiments.py --jobs`` invocations (or a
-    coordinator plus a local run) sharing one cache directory take this
-    lock around each entry write, so the temp-file + ``os.replace``
-    sequence of different processes never interleaves on one entry.
-    Readers never take the lock — ``os.replace`` keeps reads atomic.
+    Two concurrent ``run_all_experiments.py --jobs`` invocations sharing
+    one cache directory take this lock around each entry write, so the
+    temp-file + ``os.replace`` sequence of different processes never
+    interleaves on one entry.  Readers never take the lock —
+    ``os.replace`` keeps reads atomic.
 
     Implemented with ``flock`` on ``<dir>/.lock``; on platforms without
     ``fcntl`` the lock degrades to a no-op (rename atomicity still
@@ -345,21 +338,17 @@ class ResultCache:
         return result
 
     def put(self, key: CellKey, result) -> None:
-        """Store one result atomically (no-op in ``"off"`` mode)."""
-        self.put_payload(key, encode_payload(result))
+        """Store one result atomically, under the lock (no-op in
+        ``"off"`` mode).
 
-    def put_payload(self, key: CellKey, payload: dict) -> None:
-        """Store an already-encoded payload atomically, under the lock.
-
-        This is the write path shared with the sweep service: the
-        coordinator stores verified wire payloads without a decode /
-        re-encode round trip.  The directory lock serialises writers
-        from *different invocations* sharing the directory; the temp
-        file is pid-suffixed so same-host writers never collide even on
+        The directory lock serialises writers from *different
+        invocations* sharing the directory; the temp file is
+        pid-suffixed so same-host writers never collide even on
         platforms where the lock is a no-op.
         """
         if self.mode == "off":
             return
+        payload = encode_payload(result)
         doc = {
             "v": 1,
             "fingerprint": self.fingerprint,

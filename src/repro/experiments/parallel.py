@@ -7,9 +7,8 @@ seed)``.  This module
 1. **plans** the exact cell set behind the figure/table harnesses
    (:func:`plan_cells` — eval cells plus the profile / single-core cells
    their outcomes need, built by the context's own cell builders),
-2. **schedules** the cells on a :class:`TaskBoard` — the one scheduler
-   shared with the sweep coordinator (:mod:`repro.service.coordinator`)
-   — and executes them over ``jobs`` worker processes
+2. **schedules** the cells on a :class:`TaskBoard` and executes them
+   over ``jobs`` worker processes
    (:func:`run_cells` — with an on-disk :class:`ResultCache` probe, one
    retry per crashed cell, and a broken-pool fallback that finishes the
    board serially instead of hanging), and
@@ -81,9 +80,6 @@ class ParallelReport:
     cache_hits: int = 0
     seconds: float = 0.0
     pool_broken: bool = False
-    #: fleet-run correlation id (minted per run_cells invocation, or the
-    #: coordinator's id when the report came over the wire)
-    run_id: str | None = None
 
     def summary(self) -> str:
         parts = [
@@ -110,17 +106,16 @@ class ParallelReport:
 #
 # Lifecycle of one cell::
 #
-#     pending --lease()--> leased --mark_done()-----------------> done
+#     pending --lease()--> leased --mark_done()--> done
 #        ^                   |
-#        |                   +-- release() / expire() / release_worker()
-#        +---- attempts < max_attempts ----+      (requeued for another worker)
-#                                          |
-#                       attempts >= max_attempts --> failed
+#        |                   +-- release() (the attempt raised, or the
+#        |                   |   pool broke under it)
+#        +-- attempts < max_attempts --+
+#                                      |
+#                   attempts >= max_attempts --> failed
 #
-# * Leases: a dispatched cell is leased to one worker until a deadline; a
-#   heartbeat extends every lease the worker holds.  The coordinator
-#   releases a disconnected worker's leases at once and a hung worker's at
-#   the deadline (expire); run_cells never expires a lease.
+# * Leases: a cell is leased while it is submitted to the pool; at most
+#   ``jobs`` cells are leased at once.
 # * Retry budget: ``attempts`` counts leases.  A failed attempt requeues
 #   the cell until it has been leased ``max_attempts`` times; then it is
 #   ``failed`` for good.
@@ -146,19 +141,14 @@ class TaskState:
     digest: str
     status: str = "pending"  # pending | leased | done | failed
     attempts: int = 0  # number of leases handed out so far
-    worker: str | None = None
-    task_id: int = 0
-    lease_deadline: float = 0.0
     error: str = ""
 
 
 class TaskBoard:
     """Dedup, readiness, lease and retry bookkeeping for a cell set.
 
-    Pure: no sockets, no clocks of its own, so every rule is unit
-    testable with explicit timestamps.  Results are deterministic pure
-    functions of the cell, so the board takes the first valid payload
-    for a cell and ignores late ones.
+    Pure: no processes and no clocks of its own, so every rule is unit
+    testable without a pool.
     """
 
     def __init__(self, max_attempts: int = 3) -> None:
@@ -171,8 +161,8 @@ class TaskBoard:
         self.done: dict[str, object] = {}
 
     def add(self, cell: Cell) -> TaskState:
-        """Register a cell (idempotent across jobs — same digest, same
-        task), returning its state."""
+        """Register a cell (idempotent — one task per cell key),
+        returning its state."""
         digest = cell.key.digest()
         state = self.tasks.get(digest)
         if state is None:
@@ -212,65 +202,27 @@ class TaskBoard:
             values.append(payload.me)
         return cell.with_me_values(tuple(values))
 
-    def lease(self, state: TaskState, worker: str, now: float,
-              duration: float, task_id: int) -> None:
+    def lease(self, state: TaskState) -> None:
         state.status = "leased"
-        state.worker = worker
-        state.task_id = task_id
         state.attempts += 1
-        state.lease_deadline = now + duration
 
     def mark_done(self, digest: str, payload: object) -> None:
         state = self.tasks[digest]
         state.status = "done"
-        state.worker = None
         state.error = ""
         self.done[digest] = payload
 
     def release(self, state: TaskState, error: str) -> str:
         """One attempt failed; requeue or exhaust.  Returns new status."""
-        state.worker = None
         state.error = error
         state.status = ("failed" if state.attempts >= self.max_attempts
                         else "pending")
         return state.status
 
-    def extend_leases(self, worker: str, now: float, duration: float) -> int:
-        """Heartbeat: push every lease deadline of ``worker`` out."""
-        n = 0
-        for state in self.tasks.values():
-            if state.status == "leased" and state.worker == worker:
-                state.lease_deadline = now + duration
-                n += 1
-        return n
-
-    def expire(self, now: float) -> list[TaskState]:
-        """Release every lease whose deadline has passed."""
-        out = []
-        for state in self.tasks.values():
-            if state.status == "leased" and state.lease_deadline < now:
-                self.release(state, f"lease expired on {state.worker!r}")
-                out.append(state)
-        return out
-
-    def release_worker(self, worker: str) -> list[TaskState]:
-        """A worker disconnected: release everything it held."""
-        out = []
-        for state in self.tasks.values():
-            if state.status == "leased" and state.worker == worker:
-                self.release(state, f"worker {worker!r} disconnected")
-                out.append(state)
-        return out
-
     def counts(self) -> dict[str, int]:
         c = Counter(s.status for s in self.tasks.values())
         return {k: c.get(k, 0) for k in ("pending", "leased", "done",
                                          "failed")}
-
-    def settled(self, digest: str) -> bool:
-        """Done or permanently failed (nothing more will happen)."""
-        state = self.tasks.get(digest)
-        return state is not None and state.status in ("done", "failed")
 
 
 # -- planning --------------------------------------------------------------------
@@ -418,23 +370,12 @@ def run_cells(
     bit-exact payloads, and ME vectors are resolved from the profile
     cells so workers reproduce the serial numbers exactly.
     """
-    from repro.telemetry.fleet import ENV_RUN_ID, new_run_id
-
     t0 = time.perf_counter()
     unique: dict[CellKey, Cell] = {}
     for cell in cells:
         unique.setdefault(cell.key, cell)
 
     report = ParallelReport()
-    # Correlation id for this sweep: pool children inherit the parent's
-    # environment at fork/spawn time, so setting it before any pool is
-    # created stamps every exporter artifact (run_metadata "fleet"
-    # section) written by any process of this run.  An id inherited from
-    # an enclosing fleet context wins — we are then part of *that* run.
-    inherited = os.environ.get(ENV_RUN_ID)
-    report.run_id = inherited or new_run_id()
-    if inherited is None:
-        os.environ[ENV_RUN_ID] = report.run_id
     progress = _Progress(bus, total=len(unique))
 
     board = TaskBoard(max_attempts=2)
@@ -461,8 +402,7 @@ def run_cells(
                 for state in board.ready()[: slots - len(in_flight)]:
                     fut = pool.submit(_timed_execute, board.resolve(state),
                                       state.attempts)
-                    board.lease(state, "local", now=0.0, duration=0.0,
-                                task_id=0)
+                    board.lease(state)
                     in_flight[fut] = state
                 if not in_flight:
                     break
@@ -501,9 +441,6 @@ def run_cells(
         # hung pool, never a traceback dump from inside the executor.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
-    finally:
-        if inherited is None:
-            os.environ.pop(ENV_RUN_ID, None)
 
     states = sorted(board.tasks.values(), key=lambda s: s.cell.key.key_str())
     report.results = {s.cell.key: board.done[s.digest]

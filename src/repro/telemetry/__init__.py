@@ -46,19 +46,6 @@ from repro.telemetry.export import (
     write_jsonl,
     write_spans_jsonl,
 )
-from repro.telemetry.fleet import (
-    FleetMetrics,
-    FleetObserver,
-    FleetTraceWriter,
-    fleet_ids,
-    merge_traces,
-    new_run_id,
-    prometheus_text,
-    read_fleet_trace,
-    render_dashboard,
-    write_merged_trace,
-    write_prometheus,
-)
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.profiling import EngineProfiler
 from repro.telemetry.registry import (
@@ -99,16 +86,5 @@ __all__ = [
     "write_chrome_trace",
     "write_spans_jsonl",
     "render_summary",
-    "FleetMetrics",
-    "FleetObserver",
-    "FleetTraceWriter",
-    "fleet_ids",
-    "new_run_id",
-    "prometheus_text",
-    "write_prometheus",
-    "read_fleet_trace",
-    "merge_traces",
-    "write_merged_trace",
-    "render_dashboard",
     "EngineProfiler",
 ]

@@ -74,25 +74,15 @@ def run_metadata(telemetry: "Telemetry") -> dict:
     Carries the format marker, export wall-clock time, the git revision
     the artifact was produced from, and the run description the runner
     stashed in ``telemetry.meta`` (policy, mix/app, seed, budget and the
-    config hash).  When the process runs inside a fleet (the distributed
-    service or the parallel runner set ``REPRO_RUN_ID`` /
-    ``REPRO_WORKER_ID`` / ``REPRO_CELL_ID``), a ``fleet`` section names
-    the run/worker/cell this trace belongs to, so ``repro obs
-    merge-trace`` and humans can correlate per-process artifacts.
+    config hash).
     """
-    doc = {
+    return {
         "format": FORMAT,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_rev": _git_rev(),
         "sample_every": telemetry.sample_every,
         "meta": to_jsonable(telemetry.meta),
     }
-    from repro.telemetry.fleet import fleet_ids
-
-    ids = fleet_ids()
-    if ids:
-        doc["fleet"] = ids
-    return doc
 
 
 # -- JSONL ----------------------------------------------------------------------

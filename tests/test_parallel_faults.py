@@ -6,7 +6,9 @@
   missing cells;
 * a corrupted / truncated cache entry is detected (payload digest
   mismatch) and recomputed, never trusted;
-* entries written by a different code revision are treated as stale.
+* entries written by a different code revision are treated as stale;
+* concurrent invocations sharing one cache directory serialise their
+  writes on its :class:`DirLock` and leave only valid entries.
 
 Fault injection goes through the ``REPRO_PARALLEL_FAULT*`` env hooks in
 :mod:`repro.experiments.cells` (they match a substring of the cell key
@@ -16,13 +18,17 @@ and only exist for these tests).
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
-from repro.experiments.cache import ResultCache
-from repro.experiments.cells import CellFault, execute_cell
+from repro.config import SystemConfig
+from repro.experiments.cache import DirLock, ResultCache, payload_sha
+from repro.experiments.cells import CellFault, eval_cell_key, execute_cell
 from repro.experiments.harness import ExperimentContext
 from repro.experiments.parallel import plan_cells, run_cells
+from repro.sim.runner import CoreResult
 
 BUDGET = 300
 WARMUP = 200
@@ -179,3 +185,83 @@ def test_stale_code_fingerprint_invalidates(tmp_path, monkeypatch, cells):
     report = run_cells(cells, jobs=1, cache=cache)
     assert cache.stats.stale == len(cells)
     assert report.executed == len(cells) and report.cache_hits == 0
+
+
+# -- concurrent invocations on one cache directory --------------------------------
+
+
+def _key(policy: str = "HF-RF"):
+    return eval_cell_key("4MEM-1", policy, SEED, BUDGET, WARMUP, 256,
+                         SystemConfig(), PROFILE)
+
+
+def _result() -> CoreResult:
+    return CoreResult(app="art", code="E", core_id=0, ipc=0.5,
+                      finish_cycle=1000, committed=300, reads=10,
+                      avg_read_latency=200.0, bytes_total=640,
+                      bw_gbps=1.25)
+
+
+def _locked_increments(root: str, counter: str, iters: int) -> None:
+    lock = DirLock(root)
+    for _ in range(iters):
+        with lock.held():
+            value = int(open(counter).read())
+            open(counter, "w").write(str(value + 1))
+
+
+def test_dirlock_serialises_concurrent_processes(tmp_path):
+    """A read-modify-write cycle under the lock must never lose an
+    update across processes — the property the cache-entry writes of
+    concurrent invocations rely on."""
+    counter = tmp_path / "counter"
+    counter.write_text("0")
+    procs = [
+        multiprocessing.Process(
+            target=_locked_increments,
+            args=(str(tmp_path), str(counter), 50),
+        )
+        for _ in range(4)
+    ]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+        assert p.exitcode == 0
+    assert int(counter.read_text()) == 4 * 50
+
+
+def _put_many(root: str, n: int) -> None:
+    cache = ResultCache(root=root, mode="rw")
+    result = _result()
+    for i in range(n):
+        cache.put(_key(f"P{i % 5}"), result)
+
+
+def test_concurrent_cache_writers_leave_only_valid_entries(tmp_path):
+    """Two invocations hammering the same five entries: every surviving
+    file must parse and verify (no interleaved/torn writes), and no
+    temp files leak."""
+    procs = [multiprocessing.Process(target=_put_many,
+                                     args=(str(tmp_path), 40))
+             for _ in range(3)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+        assert p.exitcode == 0
+    entries = list(tmp_path.glob("*.json"))
+    assert len(entries) == 5
+    for path in entries:
+        doc = json.loads(path.read_text())
+        assert payload_sha(doc["payload"]) == doc["sha"]
+    assert not list(tmp_path.glob("*.tmp.*"))
+    assert (tmp_path / DirLock.LOCK_NAME).exists()
+
+
+def test_lockfile_is_not_mistaken_for_an_entry(tmp_path):
+    cache = ResultCache(root=tmp_path, mode="rw")
+    cache.put(_key(), _result())
+    assert (tmp_path / ".lock").exists()
+    assert cache.get(_key()) == _result()
+    assert os.path.basename(cache._path(_key())) != DirLock.LOCK_NAME

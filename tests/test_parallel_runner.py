@@ -8,6 +8,10 @@ Three guarantees, each pinned here:
   float-hex fingerprints (``tests/golden/golden_stats.json``) exactly —
   the bit-identity contract extends to worker processes;
 * a cache hit returns the identical result without re-simulating.
+
+The :class:`TaskBoard` rules behind ``run_cells`` (dedup, retry budget,
+ME-profile gating, ready order) are pinned at the end of the file: the
+board is pure, so each rule is checked without a pool.
 """
 
 from __future__ import annotations
@@ -33,8 +37,14 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.harness import ExperimentContext
-from repro.experiments.parallel import merge_into, plan_cells, run_cells
+from repro.experiments.parallel import (
+    TaskBoard,
+    merge_into,
+    plan_cells,
+    run_cells,
+)
 from repro.experiments.table2 import run_table2
+from repro.metrics.memory_efficiency import MeProfile
 from repro.workloads.mixes import workload_by_name
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_stats.json"
@@ -215,3 +225,101 @@ def test_progress_events_on_bus():
     assert all(e.args["status"] == "run" for e in done)
     stats = bus.named("experiment.cache")
     assert len(stats) == 1
+
+
+# -- the task board ---------------------------------------------------------------
+
+CFG = SystemConfig()
+
+
+def _eval_cell(policy: str, mix: str = "4MEM-1", codes: str = "") -> Cell:
+    key = eval_cell_key(mix, policy, SEED, BUDGET, WARMUP, 256, CFG, PROFILE)
+    deps = tuple(profile_cell_key(c, SEED, PROFILE, CFG) for c in codes)
+    return Cell(key=key, config=CFG, me_deps=deps)
+
+
+def _profile_cell(code: str) -> Cell:
+    return Cell(key=profile_cell_key(code, SEED, PROFILE, CFG), config=CFG)
+
+
+def _me_profile(code: str, me: float) -> MeProfile:
+    return MeProfile(app=f"app{code}", code=code, ipc=1.0, bw_gbps=1.0,
+                     me=me, avg_read_latency=100.0)
+
+
+def test_board_add_is_idempotent():
+    board = TaskBoard()
+    a = board.add(_eval_cell("HF-RF"))
+    b = board.add(_eval_cell("HF-RF"))
+    assert a is b
+    assert len(board.tasks) == 1
+
+
+def test_retry_budget_requeues_then_fails():
+    board = TaskBoard(max_attempts=2)
+    state = board.add(_eval_cell("HF-RF"))
+    board.lease(state)
+    assert state.attempts == 1
+    assert board.release(state, "boom") == "pending"  # budget left
+    board.lease(state)
+    assert board.release(state, "boom again") == "failed"  # exhausted
+    assert state.status == "failed"
+    assert state.error == "boom again"
+    assert board.counts()["failed"] == 1
+
+
+def test_me_cell_blocked_until_profiles_settle_then_resolved():
+    board = TaskBoard()
+    me = board.add(_eval_cell("ME-LREQ", codes="EF"))
+    p_e = board.add(_profile_cell("E"))
+    p_f = board.add(_profile_cell("F"))
+    ready = board.ready()
+    assert me not in ready and p_e in ready and p_f in ready
+
+    board.mark_done(p_e.digest, _me_profile("E", 1.5))
+    assert me not in board.ready()  # one dependency still pending
+    board.mark_done(p_f.digest, _me_profile("F", 0.25))
+    assert me in board.ready()
+
+    resolved = board.resolve(me)
+    assert resolved.me_values == (1.5, 0.25)
+    assert me.cell.me_values is None  # board state untouched
+
+
+def test_failed_or_absent_dependency_does_not_block():
+    board = TaskBoard(max_attempts=1)
+    # dependencies never registered on the board at all
+    orphan = board.add(_eval_cell("ME-LREQ", mix="4MIX-1", codes="EF"))
+    assert orphan in board.ready()
+    assert board.resolve(orphan).me_values is None  # cell profiles itself
+
+    # dependency registered but permanently failed
+    me = board.add(_eval_cell("ME-LREQ", codes="E"))
+    dep = board.add(_profile_cell("E"))
+    board.lease(dep)
+    assert me not in board.ready()
+    board.release(dep, "boom")
+    assert dep.status == "failed"
+    assert me in board.ready()
+    assert board.resolve(me).me_values is None
+
+
+def test_non_me_policies_never_consult_dependencies():
+    board = TaskBoard()
+    cell = _eval_cell("HF-RF", codes="EF")  # deps present but irrelevant
+    state = board.add(cell)
+    assert state in board.ready()
+    assert board.resolve(state) is cell
+
+
+def test_ready_is_sorted_by_canonical_key():
+    board = TaskBoard()
+    for policy in ("RR", "HF-RF", "LREQ"):
+        board.add(_eval_cell(policy))
+    keys = [s.cell.key.key_str() for s in board.ready()]
+    assert keys == sorted(keys)
+
+
+def test_max_attempts_must_be_positive():
+    with pytest.raises(ValueError):
+        TaskBoard(max_attempts=0)
